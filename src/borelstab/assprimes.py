@@ -3,22 +3,28 @@
 The prime-hunting core here is the independent referee for the rest of
 the package: it works on raw exponent vectors, never consults the
 closed-form shortcuts it is meant to check, and certifies its own output
-twice over.  Associated primes are read off an irredundant irreducible
-decomposition, and every reported prime must additionally be confirmed by
-an explicit colon witness ``w`` with ``J : w = P``.  A failure of either
-layer is a bug, not a data condition, and raises immediately.
+twice over.  One sweep over the exponent box prod(b_i + 1), with ``b`` the
+componentwise maximum of the generators, finds the socle cells of
+``J + (x_i^{b_i+1})``.  Each cell ``w`` gives an irredundant irreducible
+component (Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5);
+its support is an associated prime and ``w`` is a colon witness for it.
+Every reported prime is confirmed by recomputing ``J : w = P`` with
+separate code.  A failed certificate is a bug, not a data condition, and
+raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership)
 and fails hard with a minimal reproducer on any disagreement.
 
-Complexity is exponential by nature; the entry points refuse ideals above
-a configurable generator ceiling instead of running unbounded.
+Complexity is exponential by nature; the entry points refuse an ideal
+whose box has more cells than a configurable ceiling (default 10^7)
+instead of running unbounded.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .borel import expand_squarefree
@@ -33,7 +39,7 @@ from .monomials import (
 )
 from .stability import INFINITE, lambda_of_prime, stable_membership_direct
 
-GENERATOR_CEILING = 5000
+CELL_CEILING = 10_000_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -42,14 +48,6 @@ class ResourceLimitError(RuntimeError):
 
 class CrossValidationError(AssertionError):
     """A closed-form result disagreed with the oracle; carries a reproducer."""
-
-
-def _check_ceiling(J: MonomialIdeal, ceiling: int) -> None:
-    if len(J.generators) > ceiling:
-        raise ResourceLimitError(
-            f"{len(J.generators)} generators exceed the ceiling {ceiling}; "
-            "raise the ceiling explicitly to proceed"
-        )
 
 
 @dataclass(frozen=True)
@@ -75,111 +73,62 @@ class IrreducibleComponent:
         return self.contains_vector(w.exponent_vector())
 
 
-def _vec_in(vecs, w) -> bool:
-    return any(all(g <= x for g, x in zip(gen, w)) for gen in vecs)
+def _bounds(J: MonomialIdeal) -> list[int]:
+    """The componentwise maximum ``b`` of the generator exponent vectors."""
+    return [max(column) for column in zip(*J.generator_vectors())]
 
 
-def _is_pure_power(vec) -> bool:
-    return sum(1 for e in vec if e) == 1
+def _socle(J: MonomialIdeal, ceiling: int):
+    """Yield, in increasing lex order, the socle cells of ``J + (x_i^{b_i+1})``.
 
-
-def _split_components(gens: frozenset) -> frozenset:
-    """All pure-power component vectors from recursive pivot splitting.
-
-    The pivot is the lex-largest generator that is not a pure power; it is
-    split at its lowest-index variable block into two coprime parts.
+    One lex pass over the box prod(b_i + 1) fills a membership bytearray: a
+    cell is in J if it is a generator or if the cell one step down in some
+    coordinate is in J (that cell comes earlier in lex order).  A socle
+    cell ``w`` lies outside J while every step up that stays in the box
+    lands in J.  Its prime is ``{i : w_i < b_i}``, and ``w`` is a colon
+    witness for it.  The box is refused before allocation when it has more
+    than ``ceiling`` cells.
     """
-    width = len(next(iter(gens)))
-    memo: dict[frozenset, frozenset] = {}
-
-    def recurse(state: frozenset) -> frozenset:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        pivot = None
-        for g in sorted(state, reverse=True):
-            if not _is_pure_power(g):
-                pivot = g
-                break
-        if pivot is None:
-            component = tuple(max(g[i] for g in state) for i in range(width))
-            memo[state] = result = frozenset({component})
-            return result
-        low = next(i for i, e in enumerate(pivot) if e)
-        head = tuple(pivot[low] if i == low else 0 for i in range(width))
-        tail = tuple(0 if i == low else e for i, e in enumerate(pivot))
-        rest = [g for g in state if g != pivot]
-        result = frozenset()
-        for part in (head, tail):
-            child = frozenset(_minimal_vectors(rest + [part]))
-            result |= recurse(child)
-        memo[state] = result
-        return result
-
-    return recurse(gens)
-
-
-def _component_contains_component(c, other) -> bool:
-    """other (as a set of monomials) is inside c."""
-    return all(0 < c[i] <= e for i, e in enumerate(other) if e)
-
-
-def _vector_in_component(w, c) -> bool:
-    return any(e and w[i] >= e for i, e in enumerate(c))
-
-
-def _irredundant(components: list) -> list:
-    """Drop components containing another, then any containing the
-    intersection of the rest (checked on the bounding box of exponents)."""
-    comps = sorted(set(components))
-    kept = [
-        c
-        for c in comps
-        if not any(o != c and _component_contains_component(c, o) for o in comps)
-    ]
-    if len(kept) <= 1:
-        return kept
-
-    width = len(kept[0])
-    bounds = [max(c[i] for c in kept) for i in range(width)]
-    masks = set()
-    for w in itertools.product(*(range(b + 1) for b in bounds)):
-        mask = 0
-        for t, c in enumerate(kept):
-            if _vector_in_component(w, c):
-                mask |= 1 << t
-        masks.add(mask)
-
-    active = (1 << len(kept)) - 1
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(kept)):
-            bit = 1 << t
-            if not active & bit:
-                continue
-            rest = active ^ bit
-            if not any((m & active) == rest for m in masks):
-                active = rest  # the rest already cuts out this component
-                changed = True
-                break
-    return [c for t, c in enumerate(kept) if active & (1 << t)]
+    bounds = _bounds(J)
+    cells = math.prod(b + 1 for b in bounds)
+    if cells > ceiling:
+        raise ResourceLimitError(
+            f"{cells} box cells exceed the ceiling {ceiling}; "
+            "raise the ceiling explicitly to proceed"
+        )
+    strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
+    axes = tuple(zip(range(len(bounds)), strides, bounds))
+    ranges = [range(b + 1) for b in bounds]
+    inside = bytearray(cells)
+    for g in J.generator_vectors():
+        inside[sum(e * s for e, s in zip(g, strides))] = 1
+    for cell, w in enumerate(itertools.product(*ranges)):
+        if not inside[cell] and any(w[i] and inside[cell - s] for i, s, _ in axes):
+            inside[cell] = 1
+    for cell, w in enumerate(itertools.product(*ranges)):
+        if not inside[cell] and all(w[i] == b or inside[cell + s] for i, s, b in axes):
+            yield w
 
 
 def irreducible_decomposition(
-    J: MonomialIdeal, ceiling: int = GENERATOR_CEILING
+    J: MonomialIdeal, ceiling: int = CELL_CEILING
 ) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant irreducible components of a proper nonzero ideal."""
+    """The irredundant irreducible components of a proper nonzero ideal.
+
+    Each socle cell ``w`` of ``J + (x_i^{b_i+1})`` gives the component
+    ``(x_i^{w_i+1} : w_i < b_i)`` (Miller-Sturmfels, ch. 5).
+    """
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no irreducible decomposition")
-    _check_ceiling(J, ceiling)
-    gens = frozenset(tuple(v) for v in J.generator_vectors())
-    components = _irredundant(list(_split_components(gens)))
+    bounds = _bounds(J)
     labels = J.ground.indices
-    out = []
-    for c in components:
-        powers = tuple((labels[i], e) for i, e in enumerate(c) if e)
-        out.append(IrreducibleComponent(J.ground, powers))
+    out = [
+        IrreducibleComponent(
+            J.ground,
+            tuple((labels[i], e + 1) for i, e in enumerate(w) if e < bounds[i]),
+        )
+        for w in _socle(J, ceiling)
+    ]
     out.sort(key=lambda comp: (len(comp.powers), comp.powers))
     return tuple(out)
 
@@ -190,97 +139,53 @@ def _colon_vectors(gen_vecs, w):
     )
 
 
-def _find_witness(J: MonomialIdeal, prime: tuple[int, ...], components) -> Monomial:
-    """A monomial ``w`` with ``J : w`` exactly the prime on ``prime``.
-
-    Exponents are capped at the componentwise maximum of the generators;
-    a witness always exists inside that box for a true associated prime.
-    Candidates derived from same-support components are tried first.
-    """
-    ground = J.ground
-    gen_vecs = [tuple(v) for v in J.generator_vectors()]
-    width = len(ground)
-    bounds = [max(g[i] for g in gen_vecs) for i in range(width)]
-    prime_pos = {ground.position(i) for i in prime}
-    target = sorted(
-        tuple(1 if i == p else 0 for i in range(width)) for p in prime_pos
-    )
-
-    def is_witness(w) -> bool:
-        return sorted(_colon_vectors(gen_vecs, w)) == target
-
-    for comp in components:
-        if comp.support != prime:
-            continue
-        guess = list(bounds)
-        for i, e in comp.powers:
-            guess[ground.position(i)] = e - 1
-        if is_witness(tuple(guess)):
-            return Monomial.from_vector(ground, tuple(guess))
-    for w in itertools.product(*(range(b + 1) for b in bounds)):
-        if is_witness(w):
-            return Monomial.from_vector(ground, w)
-    raise AssertionError(
-        f"no colon witness for {prime} in {J}: decomposition layer is buggy"
-    )
-
-
 def associated_primes(
-    J: MonomialIdeal, ceiling: int = GENERATOR_CEILING, with_witnesses: bool = False
+    J: MonomialIdeal, ceiling: int = CELL_CEILING, with_witnesses: bool = False
 ):
     """Associated primes of S/J as sorted label tuples.
 
-    Supports of the irredundant irreducible components, each confirmed by
-    an explicit colon witness.  With ``with_witnesses`` returns a dict
+    Supports of the irredundant irreducible components.  The witness of a
+    prime is the socle cell of its first component; ``J : w`` is recomputed
+    and must equal the prime.  With ``with_witnesses`` returns a dict
     ``prime -> witness`` instead of the bare tuple of primes.
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
-    components = irreducible_decomposition(J, ceiling)
-    primes = sorted({c.support for c in components}, key=lambda p: (len(p), p))
-    witnessed = {p: _find_witness(J, p, components) for p in primes}
+    ground = J.ground
+    bounds = _bounds(J)
+    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for comp in irreducible_decomposition(J, ceiling):
+        w = list(bounds)
+        for i, e in comp.powers:
+            w[ground.position(i)] = e - 1
+        witnesses.setdefault(comp.support, tuple(w))
+    primes = sorted(witnesses, key=lambda p: (len(p), p))
+    gen_vecs = J.generator_vectors()
+    width = len(ground)
+    unit = {i: tuple(int(j == pos) for j in range(width)) for pos, i in enumerate(ground)}
+    for p in primes:
+        if set(_colon_vectors(gen_vecs, witnesses[p])) != {unit[i] for i in p}:
+            raise AssertionError(
+                f"J : {witnesses[p]} is not {p} in {J}: the socle sweep is buggy"
+            )
     if with_witnesses:
-        return witnessed
+        return {p: Monomial.from_vector(ground, witnesses[p]) for p in primes}
     return tuple(primes)
 
 
-def m_in_ass(J: MonomialIdeal, ceiling: int = GENERATOR_CEILING) -> bool:
+def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
     """Depth-zero test: some ``w`` outside ``J`` has ``w * x_i`` in ``J``
-    for every variable; equivalent to the full set being an associated
-    prime."""
+    for every variable, i.e. some irreducible component involves every
+    variable and the full set is an associated prime."""
     if J.is_zero or J.is_unit:
         raise ValueError("depth-zero test needs a proper nonzero ideal")
-    _check_ceiling(J, ceiling)
-    gen_vecs = [tuple(v) for v in J.generator_vectors()]
-    width = len(J.ground)
-    bounds = [max(g[i] for g in gen_vecs) for i in range(width)]
-    for w in itertools.product(*(range(b + 1) for b in bounds)):
-        if _vec_in(gen_vecs, w):
-            continue
-        bumped = list(w)
-        for i in range(width):
-            bumped[i] += 1
-            inside = _vec_in(gen_vecs, tuple(bumped))
-            bumped[i] -= 1
-            if not inside:
-                break
-        else:
-            return True
-    return False
-
-
-def _product(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
-    from .monomials import minimalize
-
-    return minimalize(g * h for g in J.generators for h in K.generators)
+    everything = J.ground.indices
+    return any(c.support == everything for c in irreducible_decomposition(J, ceiling))
 
 
 def _powers_of_expansion(u: SquarefreeMonomial, kmax: int) -> list[MonomialIdeal]:
     base = expand_squarefree(u)
-    powers = [base]
-    for _ in range(1, kmax):
-        powers.append(_product(powers[-1], base))
-    return powers
+    return [ideal_power(base, k) for k in range(1, kmax + 1)]
 
 
 @dataclass(frozen=True)
@@ -308,7 +213,7 @@ def ass_profile(
     u: SquarefreeMonomial,
     n: int | None = None,
     kmax: int = 3,
-    ceiling: int = GENERATOR_CEILING,
+    ceiling: int = CELL_CEILING,
 ) -> AssProfile:
     """Associated primes of I, I^2, ..., I^kmax for the expansion of ``u``."""
     if n is None:
@@ -321,7 +226,6 @@ def ass_profile(
     per_power = []
     witnesses = []
     for J in powers:
-        _check_ceiling(J, ceiling)
         witnessed = associated_primes(J, ceiling, with_witnesses=True)
         per_power.append(tuple(witnessed))
         witnesses.append(tuple(witnessed.items()))
@@ -359,7 +263,7 @@ def persistence_scan(
     u: SquarefreeMonomial,
     n: int | None = None,
     kmax: int = 3,
-    ceiling: int = GENERATOR_CEILING,
+    ceiling: int = CELL_CEILING,
 ) -> PersistenceReport:
     """Check Ass(I^k) is contained in Ass(I^{k+1}) for k below kmax."""
     profile = ass_profile(u, n, kmax, ceiling)
@@ -393,7 +297,7 @@ def cross_validate(
     u: SquarefreeMonomial,
     n: int | None = None,
     kmax: int = 3,
-    ceiling: int = GENERATOR_CEILING,
+    ceiling: int = CELL_CEILING,
 ) -> CrossValidationReport:
     """Tie every closed form to the oracle on one generator.
 
@@ -409,14 +313,14 @@ def cross_validate(
     if n is None:
         n = len(u.ground)
     profile = ass_profile(u, n, kmax, ceiling)
-    powers = _powers_of_expansion(u, kmax)
-    base = powers[0]
+    base = expand_squarefree(u)
     ass_sets = [set(profile.primes_at(k)) for k in range(1, kmax + 1)]
+    labels = u.ground.indices
 
     depth_checks = 0
     for k in range(1, kmax + 1):
         formula = q_invariant(u, k, n) == n - 1
-        oracle = m_in_ass(powers[k - 1], ceiling)
+        oracle = labels in ass_sets[k - 1]
         if formula != oracle:
             _fail({"check": "depth", "u": str(u), "k": k, "formula": formula, "oracle": oracle})
         depth_checks += 1
@@ -424,7 +328,6 @@ def cross_validate(
     localization_checks = 0
     membership_checks = 0
     sharpness_checks = 0
-    labels = u.ground.indices
     for size in range(n + 1):
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
@@ -497,9 +400,9 @@ def cross_validate(
 
 __all__ = [
     "AssProfile",
+    "CELL_CEILING",
     "CrossValidationError",
     "CrossValidationReport",
-    "GENERATOR_CEILING",
     "IrreducibleComponent",
     "PersistenceReport",
     "ResourceLimitError",

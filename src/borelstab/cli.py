@@ -27,7 +27,7 @@ import math
 import sys
 
 from . import assprimes, jsonio, quotients, stability
-from .borel import borel_closure, power_generators
+from .borel import borel_closure, expand_squarefree, power_generators
 from .localization import (
     localize_by_saturation,
     localize_closed_form,
@@ -74,7 +74,9 @@ def _ground_from_args(args) -> GroundSet:
         except ValueError:
             raise _UsageError(f"malformed --vars {args.vars!r}") from None
         return GroundSet(labels)
-    if getattr(args, "n", None):
+    if args.n is not None:
+        if args.n < 1:
+            raise _UsageError("--n must be at least 1")
         return GroundSet.contiguous(args.n)
     raise _UsageError("one of --n or --vars is required")
 
@@ -124,14 +126,9 @@ def _cmd_localize(args, out) -> int:
     local = localize_closed_form(u, A)
     expansion = localized_expansion(u, A)
     if not A.is_everything and A.members:
-        from .borel import expand_squarefree
-
         sat = localize_by_saturation(expand_squarefree(u), A)
-        expected = expansion if expansion is not None else None
-        if expected is None:
-            assert sat.is_unit, "closed form and saturation disagree"
-        else:
-            assert sat == expected, "closed form and saturation disagree"
+        if not (sat.is_unit if expansion is None else sat == expansion):
+            raise AssertionError("closed form and saturation disagree")
     if args.format == "json":
         obj = jsonio.localization_to_obj(u, A, local, expansion)
         print(jsonio.emit(obj), file=out)
@@ -293,7 +290,7 @@ def _load_config(path: str | None) -> dict:
     defaults = {
         "max_n": stability.DEFAULT_ENUMERATION_BOUND,
         "max_kmax": 6,
-        "generator_ceiling": assprimes.GENERATOR_CEILING,
+        "cell_ceiling": assprimes.CELL_CEILING,
     }
     if not path:
         return defaults
@@ -302,7 +299,16 @@ def _load_config(path: str | None) -> dict:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read config {path!r}: {exc}") from None
-    defaults.update({k: data[k] for k in defaults if k in data})
+    if not isinstance(data, dict):
+        raise _UsageError(f"config {path!r} must hold a JSON object")
+    for key, value in data.items():
+        if key not in defaults:
+            raise _UsageError(
+                f"unknown config key {key!r}; expected one of {', '.join(defaults)}"
+            )
+        if type(value) is not int or value < 1:
+            raise _UsageError(f"config key {key!r} must be a positive integer, not {value!r}")
+    defaults.update(data)
     return defaults
 
 
@@ -375,7 +381,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         config = _load_config(args.config)
         args.max_n = config["max_n"]
-        args.ceiling = config["generator_ceiling"]
+        args.ceiling = config["cell_ceiling"]
         if getattr(args, "kmax", None) is not None and args.kmax > config["max_kmax"]:
             raise ValueError(
                 f"kmax={args.kmax} above the configured ceiling {config['max_kmax']}"

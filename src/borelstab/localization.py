@@ -130,7 +130,8 @@ def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> LocalizedG
         fires = bool(current) and k <= current[-1]
         before = len(current)
         current = _strike_once(current, k)
-        assert len(current) == (before - 1 if fires else before)
+        if len(current) != (before - 1 if fires else before):
+            raise AssertionError(f"striking {k} from {u} changed the degree wrongly")
     return LocalizedGenerator(current, A.complement)
 
 

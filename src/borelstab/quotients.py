@@ -71,7 +71,8 @@ def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> Quo
     sets = [frozenset()]
     sets += [_colon_variables(g, k) for g in gens[1:]]
     q = max(len(s) for s in sets)
-    assert q < n, "colon sets live below max(u_i), so q must stay below n"
+    if q >= n:
+        raise AssertionError("colon sets live below max(u_i), so q must stay below n")
     return QuotientProfile(
         n=n,
         k=k,
@@ -122,9 +123,12 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     if r:
         exps[1] = exps.get(1, 0) + r
     witness = Monomial.make(ground, exps)
-    assert is_power_generator(witness, u, k), "witness fails the membership test"
-    assert witness in borel_closure(u.power(k), k), "witness not in the closure"
-    assert len(_colon_variables(witness, k)) == n - 1
+    if not is_power_generator(witness, u, k):
+        raise AssertionError("witness fails the membership test")
+    if witness not in borel_closure(u.power(k), k):
+        raise AssertionError("witness not in the closure")
+    if len(_colon_variables(witness, k)) != n - 1:
+        raise AssertionError("witness colon set is not of size n - 1")
     return witness
 
 

@@ -85,7 +85,8 @@ def interval_decomposition(u: SquarefreeMonomial, n: int | None = None) -> Inter
     gaps = [blocks[0][0] - 1]
     gaps += [a - pb - 1 for (_, pb), (a, _) in zip(blocks, blocks[1:])]
     deco = IntervalDecomposition(n, tuple(blocks), tuple(lengths), tuple(gaps))
-    assert sum(deco.lengths) == u.degree - 1
+    if sum(deco.lengths) != u.degree - 1:
+        raise AssertionError(f"interval lengths of {u} do not sum to deg(u) - 1")
     return deco
 
 
@@ -116,7 +117,8 @@ def lambda_max_ideal(u: SquarefreeMonomial, n: int | None = None) -> int | float
     for length, gap in zip(deco.lengths, deco.gaps):
         num += length
         den += gap
-        assert den >= 1, "min(u) > 1 guarantees a positive leading gap"
+        if den < 1:
+            raise AssertionError("min(u) > 1 guarantees a positive leading gap")
         best = max(best, -(-num // den) + 1)
     return best
 
@@ -134,8 +136,10 @@ def lambda_value_witness(d: int, i: int) -> tuple[SquarefreeMonomial, int]:
     labels += [i + 2 * j for j in range(1, d - i + 1)]
     labels.append(n)
     u = SquarefreeMonomial(GroundSet.contiguous(n), tuple(sorted(set(labels))))
-    assert u.degree == d
-    assert lambda_max_ideal(u, n) == i
+    if u.degree != d:
+        raise AssertionError(f"witness {u} has degree {u.degree}, not {d}")
+    if lambda_max_ideal(u, n) != i:
+        raise AssertionError(f"witness {u} does not attain lambda = {i}")
     return u, n
 
 

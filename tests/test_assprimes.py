@@ -2,6 +2,7 @@
 profiles, persistence and cross-validation."""
 
 import itertools
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from borelstab import (
     m_in_ass,
     minimalize,
     persistence_scan,
+    stable_set_enumerate,
 )
 from conftest import all_squarefree, box_vectors, ideal, mono, sf
 
@@ -169,6 +171,17 @@ class TestAssProfile:
         profile = ass_profile(sf(g3, 2, 3), kmax=2)
         assert (1, 2, 3) not in profile.primes_at(1)
         assert (1, 2, 3) in profile.primes_at(2)
+
+    def test_frontier_rung_matches_stable_set(self):
+        u = sf(GroundSet.contiguous(6), 2, 4, 5, 6)
+        start = time.perf_counter()
+        profile = ass_profile(u, kmax=3)
+        assert time.perf_counter() - start < 5
+        assert [len(profile.primes_at(k)) for k in (1, 2, 3)] == [17, 38, 39]
+        entries = stable_set_enumerate(u, members_only=True)
+        for k in (1, 2, 3):
+            predicted = {e.prime for e in entries if e.stability_index <= k}
+            assert set(profile.primes_at(k)) == predicted, k
 
     def test_witnesses_recorded(self, g3):
         profile = ass_profile(sf(g3, 2, 3), kmax=2)

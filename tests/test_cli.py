@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -162,8 +163,48 @@ class TestExitCodes:
         code, _, err = invoke(["--config", "/no/such/file.json", "lambda", "--u", "2", "--n", "2"])
         assert code == 2
 
+    def _config_run(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        return invoke(["--config", str(cfg), "ass", "--u", "2,3", "--n", "3"])
+
+    def test_config_cell_ceiling(self, tmp_path):
+        code, _, err = self._config_run(tmp_path, json.dumps({"cell_ceiling": 7}))
+        assert code == 1 and "8 box cells exceed the ceiling 7" in err
+
+    def test_config_not_an_object(self, tmp_path):
+        code, _, err = self._config_run(tmp_path, "[1, 2]")
+        assert code == 2 and "JSON object" in err
+
+    def test_config_unknown_key(self, tmp_path):
+        # the key of the former generator ceiling must not be ignored silently
+        code, _, err = self._config_run(tmp_path, json.dumps({"generator_ceiling": 5000}))
+        assert code == 2 and "generator_ceiling" in err
+
+    @pytest.mark.parametrize("value", ["x", 0, -3, 2.5, True, None])
+    def test_config_value_not_positive_integer(self, tmp_path, value):
+        code, _, err = self._config_run(tmp_path, json.dumps({"max_kmax": value}))
+        assert code == 2 and "positive integer" in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_usage_error_on_nonpositive_n(self, n):
+        code, _, err = invoke(["lambda", "--u", "2,3", "--n", n])
+        assert code == 2 and "--n must be at least 1" in err
+
+    def test_cell_ceiling_caps_the_box(self):
+        # I^2 has only 210 generators but a box of 3^20 cells
+        code, _, err = invoke(["ass", "--u", "20", "--n", "20", "--kmax", "2"])
+        assert code == 1 and "ceiling" in err
+
 
 class TestDeterminism:
+    def test_ass_json_golden(self):
+        golden = (Path(__file__).parent / "data" / "ass_u1345_n5_kmax3.json").read_text()
+        code, out, _ = invoke(
+            ["ass", "--u", "1,3,4,5", "--n", "5", "--kmax", "3", "--format", "json"]
+        )
+        assert code == 0 and out == golden
+
     @pytest.mark.parametrize(
         "argv",
         [
