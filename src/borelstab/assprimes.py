@@ -37,6 +37,7 @@ from .monomials import (
     _minimal_vectors,
     ideal_power,
 )
+from .quotients import q_invariant
 from .stability import INFINITE, lambda_of_prime, stable_membership_direct
 
 CELL_CEILING = 10_000_000
@@ -52,30 +53,39 @@ class CrossValidationError(AssertionError):
 
 @dataclass(frozen=True)
 class IrreducibleComponent:
-    """An ideal generated by pure variable powers ``x_i^{e_i}``."""
+    """An ideal generated by pure variable powers ``x_i^{e_i}``, stored as
+    the vector of the ``e_i`` (0 where ``x_i`` does not occur)."""
 
     ground: GroundSet
-    powers: tuple[tuple[int, int], ...]
+    vector: tuple[int, ...]
+
+    @property
+    def powers(self) -> tuple[tuple[int, int], ...]:
+        """The generators as sorted ``(label, exponent)`` pairs."""
+        return tuple((i, e) for i, e in zip(self.ground.indices, self.vector) if e)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.powers)
-
-    def as_ideal(self) -> MonomialIdeal:
-        gens = tuple(Monomial.variable(self.ground, i, e) for i, e in self.powers)
-        return MonomialIdeal(self.ground, gens)
-
-    def contains_vector(self, w: tuple[int, ...]) -> bool:
-        pos = self.ground.position
-        return any(w[pos(i)] >= e for i, e in self.powers)
+        return tuple(i for i, e in zip(self.ground.indices, self.vector) if e)
 
     def __contains__(self, w: Monomial) -> bool:
-        return self.contains_vector(w.exponent_vector())
+        return any(e and x >= e for x, e in zip(w.vector, self.vector))
 
 
 def _bounds(J: MonomialIdeal) -> list[int]:
     """The componentwise maximum ``b`` of the generator exponent vectors."""
     return [max(column) for column in zip(*J.generator_vectors())]
+
+
+def _cells(bounds, ceiling: int) -> int:
+    """The cells prod(b_i + 1) of the box; a box over ``ceiling`` is refused."""
+    cells = math.prod(b + 1 for b in bounds)
+    if cells > ceiling:
+        raise ResourceLimitError(
+            f"{cells} box cells exceed the ceiling {ceiling}; "
+            "raise the ceiling explicitly to proceed"
+        )
+    return cells
 
 
 def _socle(J: MonomialIdeal, ceiling: int):
@@ -90,16 +100,10 @@ def _socle(J: MonomialIdeal, ceiling: int):
     than ``ceiling`` cells.
     """
     bounds = _bounds(J)
-    cells = math.prod(b + 1 for b in bounds)
-    if cells > ceiling:
-        raise ResourceLimitError(
-            f"{cells} box cells exceed the ceiling {ceiling}; "
-            "raise the ceiling explicitly to proceed"
-        )
+    inside = bytearray(_cells(bounds, ceiling))
     strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
     axes = tuple(zip(range(len(bounds)), strides, bounds))
     ranges = [range(b + 1) for b in bounds]
-    inside = bytearray(cells)
     for g in J.generator_vectors():
         inside[sum(e * s for e, s in zip(g, strides))] = 1
     for cell, w in enumerate(itertools.product(*ranges)):
@@ -121,15 +125,11 @@ def irreducible_decomposition(
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no irreducible decomposition")
     bounds = _bounds(J)
-    labels = J.ground.indices
     out = [
-        IrreducibleComponent(
-            J.ground,
-            tuple((labels[i], e + 1) for i, e in enumerate(w) if e < bounds[i]),
-        )
+        IrreducibleComponent(J.ground, tuple(e + 1 if e < b else 0 for e, b in zip(w, bounds)))
         for w in _socle(J, ceiling)
     ]
-    out.sort(key=lambda comp: (len(comp.powers), comp.powers))
+    out.sort(key=lambda comp: (len(comp.support), comp.powers))
     return tuple(out)
 
 
@@ -155,10 +155,8 @@ def associated_primes(
     bounds = _bounds(J)
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     for comp in irreducible_decomposition(J, ceiling):
-        w = list(bounds)
-        for i, e in comp.powers:
-            w[ground.position(i)] = e - 1
-        witnesses.setdefault(comp.support, tuple(w))
+        w = tuple(e - 1 if e else b for e, b in zip(comp.vector, bounds))
+        witnesses.setdefault(comp.support, w)
     primes = sorted(witnesses, key=lambda p: (len(p), p))
     gen_vecs = J.generator_vectors()
     width = len(ground)
@@ -169,7 +167,7 @@ def associated_primes(
                 f"J : {witnesses[p]} is not {p} in {J}: the socle sweep is buggy"
             )
     if with_witnesses:
-        return {p: Monomial.from_vector(ground, witnesses[p]) for p in primes}
+        return {p: Monomial(ground, witnesses[p]) for p in primes}
     return tuple(primes)
 
 
@@ -181,11 +179,6 @@ def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
         raise ValueError("depth-zero test needs a proper nonzero ideal")
     everything = J.ground.indices
     return any(c.support == everything for c in irreducible_decomposition(J, ceiling))
-
-
-def _powers_of_expansion(u: SquarefreeMonomial, kmax: int) -> list[MonomialIdeal]:
-    base = expand_squarefree(u)
-    return [ideal_power(base, k) for k in range(1, kmax + 1)]
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,12 @@ def ass_profile(
         raise ValueError(f"n={n} does not match ground set of size {len(u.ground)}")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    powers = _powers_of_expansion(u, kmax)
+    base = expand_squarefree(u)
+    # I is generated in one degree, so the bounds of I^k are k times those of I
+    bounds = _bounds(base)
+    for k in range(1, kmax + 1):
+        _cells([k * b for b in bounds], ceiling)
+    powers = [ideal_power(base, k) for k in range(1, kmax + 1)]
     per_power = []
     witnesses = []
     for J in powers:
@@ -308,8 +306,6 @@ def cross_validate(
     is sharp.  Any mismatch raises :class:`CrossValidationError` with a
     minimal reproducer.
     """
-    from .quotients import q_invariant
-
     if n is None:
         n = len(u.ground)
     profile = ass_profile(u, n, kmax, ceiling)

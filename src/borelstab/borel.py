@@ -42,40 +42,36 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     generators share degree d, so it is automatically minimal.
     """
     ground = u.ground
-    results: list[tuple[int, ...]] = []
+    tops = [ground.position(i) for i in u.indices]
+    gens: list[Monomial] = []
 
-    def extend(prefix: tuple[int, ...], pos: int) -> None:
-        if pos == u.degree:
-            results.append(prefix)
+    def extend(vec: tuple[int, ...], start: int, t: int) -> None:
+        if t == len(tops):
+            gens.append(Monomial(ground, vec))
             return
-        lo = prefix[-1] if prefix else 0
-        for j in ground.indices:
-            if j <= lo:
-                continue
-            if j > u.indices[pos]:
-                break
-            extend(prefix + (j,), pos + 1)
+        for p in range(start, tops[t] + 1):
+            extend(vec[:p] + (1,) + vec[p + 1 :], p + 1, t + 1)
 
-    extend((), 0)
-    gens = tuple(
-        SquarefreeMonomial(ground, idx).to_monomial() for idx in results
-    )
-    return MonomialIdeal(ground, gens)
+    extend((0,) * len(ground), 0, 0)
+    return MonomialIdeal(ground, tuple(gens))
+
+
+def _over_cap(w: Monomial, cap: int) -> bool:
+    return any(e > cap for e in w.vector if e)
 
 
 def borel_moves(w: Monomial, cap: int):
     """Yield every legal exchange x_i * (w / x_j), i < j, below the cap."""
-    ground = w.ground
-    for j, ej in w.exps:
+    vec = w.vector
+    for j, ej in enumerate(vec):
         if ej < 1:
             continue
-        for i in ground.indices:
-            if i >= j:
-                break
-            if w.exponent(i) < cap:
-                yield w.divide_by(Monomial.variable(ground, j)) * Monomial.variable(
-                    ground, i
-                )
+        for i in range(j):
+            if vec[i] < cap:
+                moved = list(vec)
+                moved[i] += 1
+                moved[j] -= 1
+                yield Monomial(w.ground, tuple(moved))
 
 
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
@@ -84,7 +80,7 @@ def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
     The visited set is keyed on exponent vectors, so generation order does
     not influence the result.
     """
-    if any(e > cap for _, e in w.exps):
+    if _over_cap(w, cap):
         raise ValueError(f"exponent above cap {cap} in {w}")
     seen = {w}
     frontier = [w]
@@ -112,17 +108,17 @@ def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
         raise ValueError("mismatched ground sets")
     if w.degree != k * u.degree:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
-    if any(e > k for _, e in w.exps):
+    if _over_cap(w, k):
         raise ValueError(f"exponent above cap {k} in {w}")
     total = 0
     pos = 0
     checkpoints = u.indices
-    for label in w.ground.indices:
+    for label, e in zip(w.ground.indices, w.vector):
         while pos < len(checkpoints) and checkpoints[pos] < label:
             if total < k * (pos + 1):
                 return False
             pos += 1
-        total += w.exponent(label)
+        total += e
         while pos < len(checkpoints) and checkpoints[pos] == label:
             if total < k * (pos + 1):
                 return False
@@ -144,7 +140,7 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
 def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:
     """Check the exchange property for every generator of ``J``."""
     for g in J.generators:
-        if any(e > cap for _, e in g.exps):
+        if _over_cap(g, cap):
             return False
         for moved in borel_moves(g, cap):
             if moved not in J:
@@ -166,7 +162,7 @@ def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
     if len(degrees) > 1:
         raise ValueError(f"generators in mixed degrees {sorted(degrees)}")
     candidate = min(J.generators, key=lex_key)
-    if any(e > cap for _, e in candidate.exps):
+    if _over_cap(candidate, cap):
         raise NotPrincipalError(f"exponent above cap {cap}")
     if borel_closure(candidate, cap) != J:
         raise NotPrincipalError(f"closure of {candidate} does not generate the ideal")
@@ -183,7 +179,7 @@ class BorelPrincipalIdeal:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError("cap must be positive")
-        if any(e > self.cap for _, e in self.generator.exps):
+        if _over_cap(self.generator, self.cap):
             raise ValueError("generator exponent exceeds the cap")
 
     @property

@@ -145,11 +145,10 @@ def _cmd_localize(args, out) -> int:
 def _cmd_colon_profile(args, out) -> int:
     ground = _ground_from_args(args)
     u = _squarefree_from_args(args, ground)
-    profile = quotients.quotient_profile(u, args.k)
+    gens, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
         print(jsonio.emit(jsonio.quotient_profile_to_obj(u, profile)), file=out)
     else:
-        gens = power_generators(u, args.k).generators
         for pos, (g, s) in enumerate(zip(gens, profile.colon_sets), start=1):
             print(f"i={pos:<3} u_i={xstr(g):<24} colon={_set_str(sorted(s))}", file=out)
         print(f"q = {profile.q}", file=out)

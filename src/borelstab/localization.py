@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .borel import expand_squarefree
 from .monomials import (
     GroundSet,
     Monomial,
@@ -59,7 +60,8 @@ class VariableSubset:
         return len(self.members) == len(self.ambient)
 
     def product(self) -> Monomial:
-        return Monomial(self.ambient, tuple((i, 1) for i in self.members))
+        members = set(self.members)
+        return Monomial(self.ambient, tuple(int(i in members) for i in self.ambient))
 
     def __str__(self) -> str:
         return "A=" + ",".join(str(i) for i in self.members)
@@ -149,19 +151,19 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     if A.is_everything:
         raise ValueError("localizing at every variable leaves no ambient ring")
     sat = saturate(J, A.product())
-    gone = set(A.members)
-    for g in sat.generators:
-        if any(i in gone for i in g.support):
-            raise AssertionError(f"saturated generator {g} still involves {A}")
     new_ground = J.ground.without(A.members)
-    gens = tuple(Monomial(new_ground, g.exps) for g in sat.generators)
-    return MonomialIdeal(new_ground, gens)
+    kept = [J.ground.position(i) for i in new_ground]
+    gens = []
+    for g in sat.generators:
+        rest = tuple(g.vector[pos] for pos in kept)
+        if sum(rest) != g.degree:
+            raise AssertionError(f"saturated generator {g} still involves {A}")
+        gens.append(Monomial(new_ground, rest))
+    return MonomialIdeal(new_ground, tuple(gens))
 
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:
     """Expansion of ``u_A`` over the complement, or None for the unit ideal."""
-    from .borel import expand_squarefree
-
     local = localize_closed_form(u, A)
     if local.is_unit_ideal:
         return None
@@ -195,8 +197,6 @@ def compose_localizations_check(
 
     if B.is_everything:
         return True
-    from .borel import expand_squarefree
-
     J = expand_squarefree(u)
     direct = localize_by_saturation(J, B)
     staged = localize_by_saturation(J, A)

@@ -1,10 +1,13 @@
 """Exact monomial and monomial-ideal arithmetic over ordered ground sets.
 
 Everything here is plain integer combinatorics on exponent vectors: no
-coefficient field, no polynomials, no Groebner machinery.  Variable labels
-are positive integers and are carried explicitly by a :class:`GroundSet`,
-so localized ideals can keep their original labels (e.g. live on the
-variables ``{2, 3, 4, 5}``) without renumbering.
+coefficient field, no polynomials, no Groebner machinery.  A
+:class:`Monomial` stores its exponent vector, aligned with its ground set,
+and its positional constructor takes that vector; ``exps``, the sorted
+nonzero ``(label, exponent)`` pairs, is a view built only for text and
+JSON.  Variable labels are positive integers carried by a
+:class:`GroundSet`, so localized ideals can keep their original labels
+(e.g. live on the variables ``{2, 3, 4, 5}``) without renumbering.
 
 All types are immutable and all operations are pure functions.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add, le, sub
 
 
 class GroundSetMismatch(ValueError):
@@ -84,116 +88,111 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial, stored as sorted ``(label, exponent)`` pairs.
+    """A monomial, stored as its exponent vector aligned with the ground set.
 
-    The unit monomial has no pairs.  Exponents are arbitrary-size Python
-    integers, so overflow cannot occur at any scale.
+    The positional constructor takes that vector; its length must be the
+    size of the ground set and its entries non-negative.  The unit monomial
+    is the zero vector.  Exponents are arbitrary-size Python integers, so
+    overflow cannot occur at any scale.
     """
 
     ground: GroundSet
-    exps: tuple[tuple[int, int], ...]
+    vector: tuple[int, ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(i), int(e)) for i, e in self.exps if e != 0))
-        object.__setattr__(self, "exps", pairs)
-        for i, e in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent on x_{i}")
-            if i not in self.ground:
-                raise ValueError(f"x_{i} not in ground set {self.ground.indices}")
+        vec = tuple(self.vector)
+        object.__setattr__(self, "vector", vec)
+        if len(vec) != len(self.ground.indices):
+            raise ValueError(f"{vec} does not match the ground set {self.ground.indices}")
+        if min(vec) < 0:
+            raise ValueError(f"negative exponent in {vec}")
 
     @classmethod
     def make(cls, ground: GroundSet, exponents=None) -> Monomial:
         """Build from a ``{label: exponent}`` mapping (empty/None = unit)."""
-        items = tuple((exponents or {}).items())
-        return cls(ground, items)
+        exponents = exponents or {}
+        for i, e in exponents.items():
+            if e and i not in ground:
+                raise ValueError(f"x_{i} not in ground set {ground.indices}")
+        return cls(ground, tuple(exponents.get(i, 0) for i in ground.indices))
 
     @classmethod
     def unit(cls, ground: GroundSet) -> Monomial:
-        return cls(ground, ())
+        return cls(ground, (0,) * len(ground))
 
     @classmethod
     def variable(cls, ground: GroundSet, label: int, power: int = 1) -> Monomial:
-        return cls(ground, ((label, power),))
+        return cls.make(ground, {label: power})
 
     @classmethod
     def from_vector(cls, ground: GroundSet, vec) -> Monomial:
-        return cls(ground, tuple(zip(ground.indices, vec)))
+        return cls(ground, vec)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero exponents as sorted ``(label, exponent)`` pairs."""
+        return tuple((i, e) for i, e in zip(self.ground.indices, self.vector) if e)
 
     def exponent(self, label: int) -> int:
-        for i, e in self.exps:
-            if i == label:
-                return e
-        return 0
+        return self.vector[self.ground.position(label)] if label in self.ground else 0
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Exponents aligned with the ground set order."""
-        lookup = dict(self.exps)
-        return tuple(lookup.get(i, 0) for i in self.ground.indices)
+        return self.vector
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(self.vector)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
+        return tuple(i for i, e in zip(self.ground.indices, self.vector) if e)
 
     @property
     def is_unit(self) -> bool:
-        return not self.exps
+        return not any(self.vector)
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
+        return max(self.vector) <= 1
 
     @property
     def min_index(self) -> int:
-        if not self.exps:
+        if self.is_unit:
             raise ValueError("unit monomial has no support")
-        return self.exps[0][0]
+        return self.support[0]
 
     @property
     def max_index(self) -> int:
-        if not self.exps:
+        if self.is_unit:
             raise ValueError("unit monomial has no support")
-        return self.exps[-1][0]
+        return self.support[-1]
 
     def __mul__(self, other: Monomial) -> Monomial:
         _check_same_ground(self, other)
-        merged = dict(self.exps)
-        for i, e in other.exps:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial(self.ground, tuple(merged.items()))
+        return Monomial(self.ground, tuple(map(add, self.vector, other.vector)))
 
     def __pow__(self, k: int) -> Monomial:
         if k < 0:
             raise ValueError("negative power")
-        return Monomial(self.ground, tuple((i, e * k) for i, e in self.exps))
+        return Monomial(self.ground, tuple(e * k for e in self.vector))
 
     def gcd(self, other: Monomial) -> Monomial:
         _check_same_ground(self, other)
-        theirs = dict(other.exps)
-        pairs = tuple((i, min(e, theirs.get(i, 0))) for i, e in self.exps)
-        return Monomial(self.ground, pairs)
+        return Monomial(self.ground, tuple(map(min, self.vector, other.vector)))
 
     def lcm(self, other: Monomial) -> Monomial:
         _check_same_ground(self, other)
-        merged = dict(self.exps)
-        for i, e in other.exps:
-            merged[i] = max(merged.get(i, 0), e)
-        return Monomial(self.ground, tuple(merged.items()))
+        return Monomial(self.ground, tuple(map(max, self.vector, other.vector)))
 
     def divide_by(self, other: Monomial) -> Monomial:
         """Exact division; raises if ``other`` does not divide ``self``."""
         if not divides(other, self):
             raise ValueError(f"{other} does not divide {self}")
-        theirs = dict(other.exps)
-        pairs = tuple((i, e - theirs.get(i, 0)) for i, e in self.exps)
-        return Monomial(self.ground, pairs)
+        return Monomial(self.ground, tuple(map(sub, self.vector, other.vector)))
 
     def __str__(self) -> str:
-        if not self.exps:
+        if self.is_unit:
             return "1"
         return "".join(f"x_{i}^{e}" if e > 1 else f"x_{i}" for i, e in self.exps)
 
@@ -229,10 +228,11 @@ class SquarefreeMonomial:
         return self.indices[-1]
 
     def to_monomial(self) -> Monomial:
-        return Monomial(self.ground, tuple((i, 1) for i in self.indices))
+        return self.power(1)
 
     def power(self, k: int) -> Monomial:
-        return Monomial(self.ground, tuple((i, k) for i in self.indices))
+        support = set(self.indices)
+        return Monomial(self.ground, tuple(k if i in support else 0 for i in self.ground))
 
     def __str__(self) -> str:
         return str(self.to_monomial())
@@ -248,8 +248,7 @@ class SquarefreeMonomial:
 def divides(w1: Monomial, w2: Monomial) -> bool:
     """True iff every exponent of ``w1`` is at most the one in ``w2``."""
     _check_same_ground(w1, w2)
-    theirs = dict(w2.exps)
-    return all(e <= theirs.get(i, 0) for i, e in w1.exps)
+    return all(map(le, w1.vector, w2.vector))
 
 
 def lex_key(w: Monomial) -> tuple[int, ...]:
@@ -259,7 +258,7 @@ def lex_key(w: Monomial) -> tuple[int, ...]:
     realizes exactly that order: the smallest index where two monomials
     differ decides, larger exponent first.
     """
-    return w.exponent_vector()
+    return w.vector
 
 
 def lex_compare(w1: Monomial, w2: Monomial) -> int:
@@ -314,7 +313,7 @@ class MonomialIdeal:
         return len(self.generators)
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
-        return [g.exponent_vector() for g in self.generators]
+        return [g.vector for g in self.generators]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -349,8 +348,8 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
     for g in gens:
         if g.ground != ground:
             raise GroundSetMismatch("generators over different ground sets")
-    kept = _minimal_vectors(g.exponent_vector() for g in gens)
-    return MonomialIdeal(ground, tuple(Monomial.from_vector(ground, v) for v in kept))
+    kept = _minimal_vectors(g.vector for g in gens)
+    return MonomialIdeal(ground, tuple(Monomial(ground, v) for v in kept))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -388,7 +387,7 @@ def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     for combo in itertools.combinations_with_replacement(vecs, k):
         products.add(tuple(sum(col) for col in zip(*combo)))
     kept = _minimal_vectors(products)
-    return MonomialIdeal(ground, tuple(Monomial.from_vector(ground, v) for v in kept))
+    return MonomialIdeal(ground, tuple(Monomial(ground, v) for v in kept))
 
 
 # --- shared text format ---------------------------------------------------

@@ -25,8 +25,7 @@ from .monomials import Monomial, SquarefreeMonomial, lex_key
 
 def _colon_variables(gen: Monomial, cap: int) -> frozenset[int]:
     top = gen.max_index
-    saturated = {i for i, e in gen.exps if e == cap}
-    return frozenset(j for j in gen.ground.indices if j < top and j not in saturated)
+    return frozenset(j for j, e in zip(gen.ground.indices, gen.vector) if j < top and e != cap)
 
 
 def linear_quotient_set(gens: Sequence[Monomial], i: int, cap: int) -> frozenset[int]:
@@ -58,8 +57,10 @@ class QuotientProfile:
     m_in_ass: bool
 
 
-def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> QuotientProfile:
-    """Full linear-quotient profile of the k-th power of the expansion of ``u``."""
+def _power_profile(
+    u: SquarefreeMonomial, k: int, n: int | None = None
+) -> tuple[tuple[Monomial, ...], QuotientProfile]:
+    """The generators of the k-th power, built once, and their profile."""
     ground = u.ground
     if not ground.is_contiguous:
         raise ValueError("quotient profile needs contiguous labels 1..n")
@@ -73,14 +74,15 @@ def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> Quo
     q = max(len(s) for s in sets)
     if q >= n:
         raise AssertionError("colon sets live below max(u_i), so q must stay below n")
-    return QuotientProfile(
-        n=n,
-        k=k,
-        colon_sets=tuple(sets),
-        q=q,
-        depth=n - q - 1,
-        m_in_ass=(q == n - 1),
+    profile = QuotientProfile(
+        n=n, k=k, colon_sets=tuple(sets), q=q, depth=n - q - 1, m_in_ass=(q == n - 1)
     )
+    return gens, profile
+
+
+def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> QuotientProfile:
+    """Full linear-quotient profile of the k-th power of the expansion of ``u``."""
+    return _power_profile(u, k, n)[1]
 
 
 def q_invariant(u: SquarefreeMonomial, k: int, n: int | None = None) -> int:
@@ -118,11 +120,12 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     r = u.degree - 1
     if k <= r:
         raise ValueError(f"need k > deg(u) - 1 = {r}, got k={k}")
-    exps: dict[int, int] = {i: k - 1 for i in u.indices[:-1]}
-    exps[n] = k
-    if r:
-        exps[1] = exps.get(1, 0) + r
-    witness = Monomial.make(ground, exps)
+    vec = [0] * n
+    for i in u.indices[:-1]:
+        vec[i - 1] = k - 1
+    vec[0] += r
+    vec[n - 1] = k
+    witness = Monomial(ground, vec)
     if not is_power_generator(witness, u, k):
         raise AssertionError("witness fails the membership test")
     if witness not in borel_closure(u.power(k), k):

@@ -225,17 +225,20 @@ def _degenerate_membership(local: LocalizedGenerator) -> bool | None:
     return None
 
 
-def stable_membership_direct(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> bool:
-    """Membership of ``P_A`` in the stable set, via the localized generator."""
-    _require_contiguous(u, n)
-    local = localize_closed_form(u, A)
+def _member(local: LocalizedGenerator) -> bool:
     special = _degenerate_membership(local)
     if special is not None:
         return special
     ground = local.ground
     return local.indices[0] > ground[0] and local.indices[-1] == ground[-1]
+
+
+def stable_membership_direct(
+    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
+) -> bool:
+    """Membership of ``P_A`` in the stable set, via the localized generator."""
+    _require_contiguous(u, n)
+    return _member(localize_closed_form(u, A))
 
 
 def stable_membership_combinatorial(
@@ -280,11 +283,13 @@ def lambda_of_prime(
     """Least power with ``P_A`` associated: the maximal-ideal index of the
     localized generator, relabeled onto contiguous variables."""
     _require_contiguous(u, n)
-    local = localize_closed_form(u, A)
+    return _local_lambda(localize_closed_form(u, A))
+
+
+def _local_lambda(local: LocalizedGenerator) -> int | float:
     if local.is_unit_ideal:
         return INFINITE
-    relabeled = local.as_squarefree().relabel_contiguous()
-    return lambda_max_ideal(relabeled)
+    return lambda_max_ideal(local.as_squarefree().relabel_contiguous())
 
 
 @dataclass(frozen=True)
@@ -323,14 +328,15 @@ def stable_set_enumerate(
     for size in range(n + 1):
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
-            direct = stable_membership_direct(u, A, n)
+            local = localize_closed_form(u, A)
+            direct = _member(local)
             combinatorial = stable_membership_combinatorial(u, A, n)
             if direct != combinatorial:
                 raise AssertionError(
                     f"membership routes disagree at u={u}, A={combo}: "
                     f"direct={direct}, combinatorial={combinatorial}"
                 )
-            lam = lambda_of_prime(u, A, n)
+            lam = _local_lambda(local)
             if direct != (lam != INFINITE):
                 raise AssertionError(
                     f"membership and finiteness disagree at u={u}, A={combo}"
@@ -340,7 +346,7 @@ def stable_set_enumerate(
             entries.append(
                 StableSetEntry(
                     subset=combo,
-                    generator=localize_closed_form(u, A),
+                    generator=local,
                     prime=A.complement,
                     member=direct,
                     stability_index=lam,

@@ -61,6 +61,56 @@ def brute_colon_members(J: MonomialIdeal, w: Monomial, bounds):
     return minimalize(hits, ground) if hits else MonomialIdeal(ground, ())
 
 
+# --- dict-of-pairs reference monomials --------------------------------------
+#
+# A reference monomial is a ``{label: exponent}`` dict with no zero values.
+# These functions never touch the library, so the property tests compare
+# its vector arithmetic with a second, independent representation.
+
+
+def ref_clean(a: dict) -> dict:
+    return {i: e for i, e in a.items() if e}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return ref_clean({i: a.get(i, 0) + b.get(i, 0) for i in {*a, *b}})
+
+
+def ref_pow(a: dict, k: int) -> dict:
+    return ref_clean({i: e * k for i, e in a.items()})
+
+
+def ref_gcd(a: dict, b: dict) -> dict:
+    return ref_clean({i: min(e, b.get(i, 0)) for i, e in a.items()})
+
+
+def ref_lcm(a: dict, b: dict) -> dict:
+    return ref_clean({i: max(a.get(i, 0), b.get(i, 0)) for i in {*a, *b}})
+
+
+def ref_divides(a: dict, b: dict) -> bool:
+    return all(e <= b.get(i, 0) for i, e in a.items())
+
+
+def ref_divide(a: dict, b: dict) -> dict:
+    return ref_clean({i: e - b.get(i, 0) for i, e in a.items()})
+
+
+def ref_pairs(a: dict) -> tuple:
+    return tuple(sorted(ref_clean(a).items()))
+
+
+def ref_lex_greater(a: dict, b: dict) -> bool:
+    """x_i > x_j for i < j: the smallest label where the exponents differ
+    decides, and the larger exponent there wins."""
+    differ = [i for i in {*a, *b} if a.get(i, 0) != b.get(i, 0)]
+    return bool(differ) and a.get(min(differ), 0) > b.get(min(differ), 0)
+
+
+def ref_format(a: dict) -> str:
+    return ",".join(f"{i}^{e}" if e > 1 else str(i) for i, e in ref_pairs(a))
+
+
 @pytest.fixture(scope="session")
 def g3() -> GroundSet:
     return GroundSet.contiguous(3)

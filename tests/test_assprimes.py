@@ -298,3 +298,26 @@ def test_generator_ceiling(g3):
         irreducible_decomposition(J, ceiling=2)
     with pytest.raises(ResourceLimitError):
         m_in_ass(J, ceiling=2)
+
+
+@pytest.mark.parametrize("scan", [ass_profile, persistence_scan, cross_validate])
+def test_over_ceiling_power_refused_before_any_work(scan, monkeypatch):
+    from borelstab import assprimes
+
+    # I = (x_1, ..., x_6): the box of I has 2^6 = 64 cells, that of I^2 3^6 = 729
+    calls = []
+
+    def counting(name):
+        real = getattr(assprimes, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_socle", "ideal_power"):
+        monkeypatch.setattr(assprimes, name, counting(name))
+    with pytest.raises(ResourceLimitError, match="729 box cells"):
+        scan(sf(GroundSet.contiguous(6), 6), kmax=2, ceiling=100)
+    assert calls == []

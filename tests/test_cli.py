@@ -19,6 +19,13 @@ from borelstab.cli import run
 from conftest import sf
 
 
+DATA = Path(__file__).parent / "data"
+
+# Table and JSON output of power, colon-profile, localize and expand,
+# captured before monomials were stored as exponent vectors.
+CLI_GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
@@ -199,11 +206,15 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_ass_json_golden(self):
-        golden = (Path(__file__).parent / "data" / "ass_u1345_n5_kmax3.json").read_text()
+        golden = (DATA / "ass_u1345_n5_kmax3.json").read_text()
         code, out, _ = invoke(
             ["ass", "--u", "1,3,4,5", "--n", "5", "--kmax", "3", "--format", "json"]
         )
         assert code == 0 and out == golden
+
+    @pytest.mark.parametrize("golden", CLI_GOLDENS, ids=lambda g: g["argv"])
+    def test_cli_golden(self, golden):
+        assert invoke(golden["argv"].split()) == (0, golden["stdout"], "")
 
     @pytest.mark.parametrize(
         "argv",

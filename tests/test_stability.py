@@ -274,3 +274,25 @@ class TestStableSetEnumerate:
         subsets = [e.subset for e in entries]
         assert subsets == sorted(subsets, key=lambda s: (len(s), s))
         assert len(entries) == 8
+
+    def test_one_closed_form_per_subset_besides_the_referee(self, monkeypatch):
+        from borelstab import stability
+
+        g6 = GroundSet.contiguous(6)
+        u = sf(g6, 2, 4, 6)
+        calls = []
+        real = stability.localize_closed_form
+
+        def counting(u, A):
+            calls.append(A)
+            return real(u, A)
+
+        monkeypatch.setattr(stability, "localize_closed_form", counting)
+        entries = stable_set_enumerate(u)
+        assert len(entries) == 2**6
+        assert len(calls) <= 2 * 2**6
+        for e in entries:
+            A = VariableSubset(g6, e.subset)
+            assert e.generator == real(u, A)
+            assert e.member == stable_membership_direct(u, A)
+            assert e.stability_index == lambda_of_prime(u, A)
