@@ -70,10 +70,9 @@ def _lambda_str(value) -> str:
 def _ground_from_args(args) -> GroundSet:
     if getattr(args, "vars", None):
         try:
-            labels = tuple(int(p) for p in args.vars.split(","))
-        except ValueError:
-            raise _UsageError(f"malformed --vars {args.vars!r}") from None
-        return GroundSet(labels)
+            return GroundSet(tuple(int(p) for p in args.vars.split(",")))
+        except ValueError as exc:
+            raise _UsageError(f"malformed --vars {args.vars!r}: {exc}") from None
     if args.n is not None:
         if args.n < 1:
             raise _UsageError("--n must be at least 1")
@@ -234,10 +233,6 @@ def _cmd_stable_set(args, out) -> int:
     return 0
 
 
-def _cmd_table(args, out) -> int:
-    return _cmd_stable_set(args, out)
-
-
 def _cmd_ass(args, out) -> int:
     ground = _ground_from_args(args)
     u = _squarefree_from_args(args, ground)
@@ -361,7 +356,7 @@ _HANDLERS = {
     "lambda": _cmd_lambda,
     "ever-associated": _cmd_ever_associated,
     "stable-set": _cmd_stable_set,
-    "table": _cmd_table,
+    "table": _cmd_stable_set,
     "ass": _cmd_ass,
     "persist": _cmd_persist,
     "validate": _cmd_validate,

@@ -281,8 +281,10 @@ class MonomialIdeal:
 
     Generators are kept in canonical (decreasing lex) order.  The zero
     ideal is the empty generator tuple; the unit ideal is generated by the
-    unit monomial.  Construction rejects non-minimal generator sets; use
-    :func:`minimalize` to build from arbitrary monomials.
+    unit monomial.  Construction rejects a repeated generator and one that
+    another generator divides, by the rule :func:`minimalize` applies
+    (:func:`_minimal_vectors`); use :func:`minimalize` to build from
+    arbitrary monomials.
     """
 
     ground: GroundSet
@@ -294,9 +296,11 @@ class MonomialIdeal:
         for g in gens:
             if g.ground != self.ground:
                 raise GroundSetMismatch("generator over a different ground set")
-        for g, h in itertools.permutations(gens, 2):
-            if divides(g, h):
-                raise ValueError(f"non-minimal generating set: {g} divides {h}")
+        redundant = len(gens) - len(_minimal_vectors(g.vector for g in gens))
+        if redundant:
+            raise ValueError(
+                f"non-minimal generating set: {redundant} of {len(gens)} generators redundant"
+            )
 
     @property
     def is_zero(self) -> bool:
@@ -322,12 +326,17 @@ class MonomialIdeal:
 
 
 def _minimal_vectors(vecs) -> list[tuple[int, ...]]:
-    """Prune vectors that are coordinatewise above another vector."""
+    """The distinct vectors with no other vector coordinatewise below them,
+    sorted by ``(degree, vector)``: the package's one minimality rule.
+
+    Only a vector of strictly lower degree can lie below a different one, so
+    each degree group is compared only with the lower-degree vectors kept;
+    a set in one degree, such as any power of an expansion, costs one sort.
+    """
     ordered = sorted(set(vecs), key=lambda v: (sum(v), v))
     kept: list[tuple[int, ...]] = []
-    for v in ordered:
-        if not any(all(k <= x for k, x in zip(keep, v)) for keep in kept):
-            kept.append(v)
+    for _, group in itertools.groupby(ordered, key=sum):
+        kept.extend([v for v in group if not any(all(map(le, k, v)) for k in kept)])
     return kept
 
 
@@ -356,31 +365,30 @@ def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     """The colon ideal J : (w), computed generatorwise as g / gcd(g, w)."""
     if w.ground != J.ground:
         raise GroundSetMismatch("colon divisor over a different ground set")
-    if J.is_zero:
-        return J
-    return minimalize(g.divide_by(g.gcd(w)) for g in J.generators)
+    return minimalize((g.divide_by(g.gcd(w)) for g in J.generators), J.ground)
 
 
 def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
-    """The saturation J : (w)^infinity, i.e. the fixed point of colon by w.
+    """The saturation J : (w)^infinity, i.e. ``J : w^e`` for ``e`` large.
 
-    Terminates because the partial quotients form an ascending chain of
-    monomial ideals with bounded exponents.
+    It is generated by the generators of ``J`` with the exponents on the
+    support of ``w`` set to zero; those images can differ in degree, so
+    they are minimalized once.
     """
-    current = J
-    while True:
-        nxt = colon(current, w)
-        if nxt == current:
-            return current
-        current = nxt
+    if w.ground != J.ground:
+        raise GroundSetMismatch("saturating monomial over a different ground set")
+    keep = [not e for e in w.vector]
+    return minimalize(
+        (Monomial(J.ground, tuple(x if k else 0 for x, k in zip(g.vector, keep)))
+         for g in J.generators),
+        J.ground,
+    )
 
 
 def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of J^k, from all k-fold products of generators."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    if J.is_zero:
-        return J
     ground = J.ground
     vecs = J.generator_vectors()
     products = set()

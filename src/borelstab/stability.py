@@ -60,10 +60,6 @@ class IntervalDecomposition:
     lengths: tuple[int, ...]
     gaps: tuple[int, ...]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 def interval_decomposition(u: SquarefreeMonomial, n: int | None = None) -> IntervalDecomposition:
     """Decompose the support of ``u`` into maximal runs; needs ``max(u) = n``."""

@@ -111,6 +111,26 @@ def ref_format(a: dict) -> str:
     return ",".join(f"{i}^{e}" if e > 1 else str(i) for i, e in ref_pairs(a))
 
 
+# --- pairwise minimality reference -------------------------------------------
+#
+# The rule ``MonomialIdeal`` applied before it shared the library's
+# degree-grouped kernel: compare every ordered pair of exponent vectors.
+
+
+def ref_below(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def ref_minimal_vectors(vecs) -> set:
+    """The vectors with no different vector coordinatewise below them."""
+    return {v for v in vecs if not any(w != v and ref_below(w, v) for w in vecs)}
+
+
+def ref_is_minimal(vecs) -> bool:
+    """No repeat and no pair with one vector coordinatewise below another."""
+    return not any(ref_below(a, b) for a, b in itertools.permutations(vecs, 2))
+
+
 @pytest.fixture(scope="session")
 def g3() -> GroundSet:
     return GroundSet.contiguous(3)

@@ -2,6 +2,7 @@
 profiles, persistence and cross-validation."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -226,6 +227,18 @@ class TestCrossValidate:
         for idx in [(2, 3), (2, 4, 5), (3, 4, 5), (1, 2, 5)]:
             cross_validate(sf(g5, *idx), kmax=2)
 
+    def test_sampled_width_eight(self):
+        # beyond the exhaustive sweeps: six generators of degree 2-5 over n=8;
+        # about 2 s on a 2-core x86 VM, 4.4 s when sharing one core with a
+        # busy loop, so the budget leaves room for a runner at half speed
+        rng = random.Random(2013)
+        g8 = GroundSet.contiguous(8)
+        start = time.perf_counter()
+        for _ in range(6):
+            idx = sorted(rng.sample(range(1, 9), rng.randint(2, 5)))
+            cross_validate(sf(g8, *idx), kmax=2)
+        assert time.perf_counter() - start < 10
+
     def test_worked_example_full_depth(self, worked_generator):
         report = cross_validate(worked_generator, kmax=3)
         assert report.depth_checks == 3
@@ -271,8 +284,6 @@ def _primes_by_colon_enumeration(J):
 
 
 def test_decomposition_route_equals_colon_enumeration():
-    import random
-
     rng = random.Random(99)
     checked = 0
     while checked < 100:

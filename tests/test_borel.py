@@ -1,6 +1,7 @@
 """Borel expansions, closures, the fast membership test and recognition."""
 
 import itertools
+import time
 
 import pytest
 
@@ -129,6 +130,17 @@ class TestPowerGenerators:
                 J = expand_squarefree(u)
                 for k in (1, 2, 3):
                     assert power_generators(u, k) == ideal_power(J, k)
+
+    def test_wide_product_route(self):
+        # one degree: neither route may pay for a pairwise minimality check;
+        # about 0.9 s on a 2-core x86 VM, 1.7 s when sharing one core with a
+        # busy loop, over a minute with the pairwise check
+        u = sf(GroundSet.contiguous(12), 8, 10, 12)
+        start = time.perf_counter()
+        J = power_generators(u, 2)
+        assert J == ideal_power(expand_squarefree(u), 2)
+        assert len(J) == 7532
+        assert time.perf_counter() - start < 5
 
     def test_rejects_zero_power(self, g3):
         with pytest.raises(ValueError):

@@ -198,6 +198,11 @@ class TestExitCodes:
         code, _, err = invoke(["lambda", "--u", "2,3", "--n", n])
         assert code == 2 and "--n must be at least 1" in err
 
+    @pytest.mark.parametrize("labels", ["3,2", "2,2", "0,2", "a,2"])
+    def test_usage_error_on_bad_vars(self, labels):
+        code, out, err = invoke(["power", "--u", "2", "--vars", labels, "--k", "1"])
+        assert code == 2 and out == "" and f"usage error: malformed --vars '{labels}'" in err
+
     def test_cell_ceiling_caps_the_box(self):
         # I^2 has only 210 generators but a box of 3^20 cells
         code, _, err = invoke(["ass", "--u", "20", "--n", "20", "--kmax", "2"])

@@ -1,4 +1,5 @@
-"""Property tests: ``Monomial`` against the dict-of-pairs reference.
+"""Property tests: ``Monomial`` against the dict-of-pairs reference, and
+``minimalize`` and ``MonomialIdeal`` against the pairwise minimality rule.
 
 Ground sets are drawn with non-contiguous labels, so positions in the
 exponent vector and variable labels differ.  The reference functions live
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from borelstab import (
     GroundSet,
     Monomial,
+    MonomialIdeal,
     divides,
     format_monomial,
     lex_key,
+    minimalize,
     parse_monomial,
 )
 from conftest import (
@@ -22,8 +25,10 @@ from conftest import (
     ref_divides,
     ref_format,
     ref_gcd,
+    ref_is_minimal,
     ref_lcm,
     ref_lex_greater,
+    ref_minimal_vectors,
     ref_mul,
     ref_pairs,
     ref_pow,
@@ -104,6 +109,31 @@ def test_text_round_trip(case):
     assert parse_monomial(text, ground) == w
     shown = "".join(f"x_{i}^{e}" if e > 1 else f"x_{i}" for i, e in ref_pairs(a))
     assert str(w) == (shown or "1")
+
+
+@st.composite
+def vectors_with_repeats(draw):
+    """Exponent vectors of mixed degree over 1..4 variables, some repeated."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 3)] * n)
+    base = draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=2)) if draw(st.booleans()) else []
+    return n, base + repeats
+
+
+@PROPERTY
+@given(vectors_with_repeats())
+def test_one_minimality_rule(case):
+    n, vecs = case
+    ground = GroundSet.contiguous(n)
+    gens = tuple(Monomial(ground, v) for v in vecs)
+    kept = [g.vector for g in minimalize(gens).generators]
+    assert len(kept) == len(set(kept)) and set(kept) == ref_minimal_vectors(vecs)
+    if ref_is_minimal(vecs):
+        assert MonomialIdeal(ground, gens).generator_vectors() == kept
+    else:
+        with pytest.raises(ValueError, match="non-minimal generating set"):
+            MonomialIdeal(ground, gens)
 
 
 @pytest.mark.parametrize("vec", [(1, 2), (1, 2, 3, 4), ()])

@@ -127,8 +127,12 @@ class TestMinimalize:
         assert one.is_unit
 
     def test_constructor_rejects_nonminimal(self, g3):
-        with pytest.raises(ValueError):
-            MonomialIdeal(g3, (mono(g3, x1=1), mono(g3, x1=1, x2=1)))
+        for gens in [
+            (mono(g3, x1=1), mono(g3, x1=1, x2=1)),
+            (mono(g3, x1=1, x2=1), mono(g3, x1=1, x2=1)),
+        ]:
+            with pytest.raises(ValueError, match="non-minimal generating set"):
+                MonomialIdeal(g3, gens)
 
 
 class TestColon:
@@ -177,6 +181,19 @@ class TestSaturate:
         sat = saturate(J, w)
         assert colon(sat, w) == sat
         assert all(g in sat for g in J.generators)
+
+    def test_equals_colon_fixed_point(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            g = GroundSet.contiguous(n)
+            vecs = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+            J = minimalize([Monomial(g, v) for v in vecs], g)
+            w = Monomial(g, tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)))
+            current = J
+            while colon(current, w) != current:
+                current = colon(current, w)
+            assert saturate(J, w) == current, (J, w)
 
 
 class TestIdealPower:
