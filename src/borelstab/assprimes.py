@@ -34,11 +34,11 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
-    _minimal_vectors,
+    colon,
     ideal_power,
 )
 from .quotients import q_invariant
-from .stability import INFINITE, lambda_of_prime, stable_membership_direct
+from .stability import DEFAULT_ENUMERATION_BOUND, INFINITE, lambda_of_prime, stable_membership_direct
 
 CELL_CEILING = 10_000_000
 
@@ -74,7 +74,7 @@ class IrreducibleComponent:
 
 def _bounds(J: MonomialIdeal) -> list[int]:
     """The componentwise maximum ``b`` of the generator exponent vectors."""
-    return [max(column) for column in zip(*J.generator_vectors())]
+    return [max(column) for column in zip(*J.vectors)]
 
 
 def _cells(bounds, ceiling: int) -> int:
@@ -104,7 +104,7 @@ def _socle(J: MonomialIdeal, ceiling: int):
     strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
     axes = tuple(zip(range(len(bounds)), strides, bounds))
     ranges = [range(b + 1) for b in bounds]
-    for g in J.generator_vectors():
+    for g in J.vectors:
         inside[sum(e * s for e, s in zip(g, strides))] = 1
     for cell, w in enumerate(itertools.product(*ranges)):
         if not inside[cell] and any(w[i] and inside[cell - s] for i, s, _ in axes):
@@ -133,12 +133,6 @@ def irreducible_decomposition(
     return tuple(out)
 
 
-def _colon_vectors(gen_vecs, w):
-    return _minimal_vectors(
-        tuple(max(g - x, 0) for g, x in zip(gen, w)) for gen in gen_vecs
-    )
-
-
 def associated_primes(
     J: MonomialIdeal, ceiling: int = CELL_CEILING, with_witnesses: bool = False
 ):
@@ -153,22 +147,17 @@ def associated_primes(
         raise ValueError("associated primes need a proper nonzero ideal")
     ground = J.ground
     bounds = _bounds(J)
-    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cells: dict[tuple[int, ...], tuple[int, ...]] = {}
     for comp in irreducible_decomposition(J, ceiling):
         w = tuple(e - 1 if e else b for e, b in zip(comp.vector, bounds))
-        witnesses.setdefault(comp.support, w)
-    primes = sorted(witnesses, key=lambda p: (len(p), p))
-    gen_vecs = J.generator_vectors()
-    width = len(ground)
-    unit = {i: tuple(int(j == pos) for j in range(width)) for pos, i in enumerate(ground)}
-    for p in primes:
-        if set(_colon_vectors(gen_vecs, witnesses[p])) != {unit[i] for i in p}:
-            raise AssertionError(
-                f"J : {witnesses[p]} is not {p} in {J}: the socle sweep is buggy"
-            )
-    if with_witnesses:
-        return {p: Monomial(ground, witnesses[p]) for p in primes}
-    return tuple(primes)
+        cells.setdefault(comp.support, w)
+    primes = sorted(cells, key=lambda p: (len(p), p))
+    witnesses = {p: Monomial(ground, cells[p]) for p in primes}
+    unit = {i: tuple(int(j == pos) for j in range(len(ground))) for pos, i in enumerate(ground)}
+    for p, w in witnesses.items():
+        if set(colon(J, w).vectors) != {unit[i] for i in p}:
+            raise AssertionError(f"J : {w} is not {p} in {J}: the socle sweep is buggy")
+    return witnesses if with_witnesses else tuple(primes)
 
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
@@ -296,6 +285,7 @@ def cross_validate(
     n: int | None = None,
     kmax: int = 3,
     ceiling: int = CELL_CEILING,
+    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> CrossValidationReport:
     """Tie every closed form to the oracle on one generator.
 
@@ -304,10 +294,13 @@ def cross_validate(
     the maximal ideal of the saturation-localized ideal is; membership per
     the stable-set criterion happens exactly at the predicted index, which
     is sharp.  Any mismatch raises :class:`CrossValidationError` with a
-    minimal reproducer.
+    minimal reproducer.  Like :func:`stable_set_enumerate`, it walks all
+    2^n subsets, so an ``n`` above ``enumeration_bound`` is refused first.
     """
     if n is None:
         n = len(u.ground)
+    if n > enumeration_bound:
+        raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
     profile = ass_profile(u, n, kmax, ceiling)
     base = expand_squarefree(u)
     ass_sets = [set(profile.primes_at(k)) for k in range(1, kmax + 1)]

@@ -16,6 +16,7 @@ must not be trusted outside that validated regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .monomials import (
     GroundSet,
@@ -23,7 +24,6 @@ from .monomials import (
     MonomialIdeal,
     SquarefreeMonomial,
     ideal_power,
-    lex_key,
     minimalize,
 )
 
@@ -43,26 +43,25 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     """
     ground = u.ground
     tops = [ground.position(i) for i in u.indices]
-    gens: list[Monomial] = []
+    gens: list[tuple[int, ...]] = []
 
     def extend(vec: tuple[int, ...], start: int, t: int) -> None:
         if t == len(tops):
-            gens.append(Monomial(ground, vec))
+            gens.append(vec)
             return
         for p in range(start, tops[t] + 1):
             extend(vec[:p] + (1,) + vec[p + 1 :], p + 1, t + 1)
 
     extend((0,) * len(ground), 0, 0)
-    return MonomialIdeal(ground, tuple(gens))
+    return MonomialIdeal(ground, gens)
 
 
-def _over_cap(w: Monomial, cap: int) -> bool:
-    return any(e > cap for e in w.vector if e)
+def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
+    return any(e > cap for e in vec if e)
 
 
-def borel_moves(w: Monomial, cap: int):
-    """Yield every legal exchange x_i * (w / x_j), i < j, below the cap."""
-    vec = w.vector
+def borel_moves(vec: tuple[int, ...], cap: int):
+    """Yield every legal exchange x_i * (vec / x_j), i < j, below the cap."""
     for j, ej in enumerate(vec):
         if ej < 1:
             continue
@@ -71,7 +70,7 @@ def borel_moves(w: Monomial, cap: int):
                 moved = list(vec)
                 moved[i] += 1
                 moved[j] -= 1
-                yield Monomial(w.ground, tuple(moved))
+                yield tuple(moved)
 
 
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
@@ -80,10 +79,10 @@ def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
     The visited set is keyed on exponent vectors, so generation order does
     not influence the result.
     """
-    if _over_cap(w, cap):
+    if _over_cap(w.vector, cap):
         raise ValueError(f"exponent above cap {cap} in {w}")
-    seen = {w}
-    frontier = [w]
+    seen = {w.vector}
+    frontier = [w.vector]
     while frontier:
         nxt = []
         for v in frontier:
@@ -108,7 +107,7 @@ def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
         raise ValueError("mismatched ground sets")
     if w.degree != k * u.degree:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
-    if _over_cap(w, k):
+    if _over_cap(w.vector, k):
         raise ValueError(f"exponent above cap {k} in {w}")
     total = 0
     pos = 0
@@ -139,11 +138,11 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
 
 def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:
     """Check the exchange property for every generator of ``J``."""
-    for g in J.generators:
+    for g in J.vectors:
         if _over_cap(g, cap):
             return False
         for moved in borel_moves(g, cap):
-            if moved not in J:
+            if not any(all(map(le, h, moved)) for h in J.vectors):
                 return False
     return True
 
@@ -158,11 +157,11 @@ def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
     """
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no Borel generator")
-    degrees = {g.degree for g in J.generators}
+    degrees = {sum(g) for g in J.vectors}
     if len(degrees) > 1:
         raise ValueError(f"generators in mixed degrees {sorted(degrees)}")
-    candidate = min(J.generators, key=lex_key)
-    if _over_cap(candidate, cap):
+    candidate = Monomial(J.ground, J.vectors[-1])
+    if _over_cap(candidate.vector, cap):
         raise NotPrincipalError(f"exponent above cap {cap}")
     if borel_closure(candidate, cap) != J:
         raise NotPrincipalError(f"closure of {candidate} does not generate the ideal")
@@ -179,7 +178,7 @@ class BorelPrincipalIdeal:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError("cap must be positive")
-        if _over_cap(self.generator, self.cap):
+        if _over_cap(self.generator.vector, self.cap):
             raise ValueError("generator exponent exceeds the cap")
 
     @property

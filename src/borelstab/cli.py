@@ -15,8 +15,9 @@ Every verb maps to one library operation or scan:
     table           stable set rendered as an A / u_A / P_A / lambda table
 
 Exit status: 0 success, 1 domain error, 2 usage error, 3 validation
-mismatch.  All computation is deterministic; there is no randomness
-anywhere, so equal invocations produce byte-identical output.
+mismatch, 4 internal error (a failed self-check: a bug, never bad input).
+All computation is deterministic; there is no randomness anywhere, so
+equal invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -144,11 +145,11 @@ def _cmd_localize(args, out) -> int:
 def _cmd_colon_profile(args, out) -> int:
     ground = _ground_from_args(args)
     u = _squarefree_from_args(args, ground)
-    gens, profile = quotients._power_profile(u, args.k)
+    J, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
         print(jsonio.emit(jsonio.quotient_profile_to_obj(u, profile)), file=out)
     else:
-        for pos, (g, s) in enumerate(zip(gens, profile.colon_sets), start=1):
+        for pos, (g, s) in enumerate(zip(J.generators, profile.colon_sets), start=1):
             print(f"i={pos:<3} u_i={xstr(g):<24} colon={_set_str(sorted(s))}", file=out)
         print(f"q = {profile.q}", file=out)
         print(f"depth = {profile.depth}", file=out)
@@ -266,7 +267,9 @@ def _cmd_persist(args, out) -> int:
 def _cmd_validate(args, out) -> int:
     ground = _ground_from_args(args)
     u = _squarefree_from_args(args, ground)
-    report = assprimes.cross_validate(u, kmax=args.kmax, ceiling=args.ceiling)
+    report = assprimes.cross_validate(
+        u, kmax=args.kmax, ceiling=args.ceiling, enumeration_bound=args.max_n
+    )
     if args.format == "json":
         print(jsonio.emit(jsonio.cross_validation_to_obj(report)), file=out)
     else:
@@ -387,7 +390,10 @@ def run(argv, out=None, err=None) -> int:
     except assprimes.CrossValidationError as exc:
         print(f"validation mismatch: {exc}", file=err)
         return 3
-    except (ValueError, AssertionError, assprimes.ResourceLimitError) as exc:
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=err)
+        return 4
+    except (ValueError, assprimes.ResourceLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

@@ -153,13 +153,10 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     sat = saturate(J, A.product())
     new_ground = J.ground.without(A.members)
     kept = [J.ground.position(i) for i in new_ground]
-    gens = []
-    for g in sat.generators:
-        rest = tuple(g.vector[pos] for pos in kept)
-        if sum(rest) != g.degree:
-            raise AssertionError(f"saturated generator {g} still involves {A}")
-        gens.append(Monomial(new_ground, rest))
-    return MonomialIdeal(new_ground, tuple(gens))
+    vecs = [tuple(g[pos] for pos in kept) for g in sat.vectors]
+    if sum(map(sum, vecs)) != sum(map(sum, sat.vectors)):
+        raise AssertionError(f"a saturated generator of {sat} still involves {A}")
+    return MonomialIdeal(new_ground, vecs)
 
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, le, sub
 
 
@@ -86,6 +87,15 @@ class GroundSet:
         return "vars=" + ",".join(str(i) for i in self.indices)
 
 
+def _checked_vector(ground: GroundSet, vec) -> tuple[int, ...]:
+    vec = tuple(vec)
+    if len(vec) != len(ground.indices):
+        raise ValueError(f"{vec} does not match the ground set {ground.indices}")
+    if min(vec) < 0:
+        raise ValueError(f"negative exponent in {vec}")
+    return vec
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial, stored as its exponent vector aligned with the ground set.
@@ -100,12 +110,7 @@ class Monomial:
     vector: tuple[int, ...]
 
     def __post_init__(self):
-        vec = tuple(self.vector)
-        object.__setattr__(self, "vector", vec)
-        if len(vec) != len(self.ground.indices):
-            raise ValueError(f"{vec} does not match the ground set {self.ground.indices}")
-        if min(vec) < 0:
-            raise ValueError(f"negative exponent in {vec}")
+        object.__setattr__(self, "vector", _checked_vector(self.ground, self.vector))
 
     @classmethod
     def make(cls, ground: GroundSet, exponents=None) -> Monomial:
@@ -277,47 +282,55 @@ def radical(w: Monomial) -> SquarefreeMonomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generators.
+    """A monomial ideal, stored as the exponent vectors of its minimal generators.
 
-    Generators are kept in canonical (decreasing lex) order.  The zero
-    ideal is the empty generator tuple; the unit ideal is generated by the
-    unit monomial.  Construction rejects a repeated generator and one that
-    another generator divides, by the rule :func:`minimalize` applies
-    (:func:`_minimal_vectors`); use :func:`minimalize` to build from
-    arbitrary monomials.
+    ``vectors`` is kept in decreasing lex order and is what every kernel
+    reads; ``generators`` is a read-only :class:`Monomial` view, built on
+    first use.  The constructor takes each generator as a ``Monomial`` over
+    ``ground`` or as a vector of the right length with no negative entry.
+    The zero ideal has no generators, the unit ideal the zero vector.  A
+    repeated generator, or one another divides, is rejected by the rule
+    :func:`minimalize` applies (:func:`_minimal_vectors`).
     """
 
     ground: GroundSet
-    generators: tuple[Monomial, ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(sorted(self.generators, key=lex_key, reverse=True))
-        object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if g.ground != self.ground:
+        vecs = []
+        for g in self.vectors:
+            if isinstance(g, Monomial) and g.ground != self.ground:
                 raise GroundSetMismatch("generator over a different ground set")
-        redundant = len(gens) - len(_minimal_vectors(g.vector for g in gens))
+            vecs.append(_checked_vector(self.ground, g.vector if isinstance(g, Monomial) else g))
+        vecs.sort(reverse=True)
+        object.__setattr__(self, "vectors", tuple(vecs))
+        redundant = len(vecs) - len(_minimal_vectors(vecs))
         if redundant:
             raise ValueError(
-                f"non-minimal generating set: {redundant} of {len(gens)} generators redundant"
+                f"non-minimal generating set: {redundant} of {len(vecs)} generators redundant"
             )
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(self.ground, v) for v in self.vectors)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.vectors
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_unit
+        return len(self.vectors) == 1 and not any(self.vectors[0])
 
     def __contains__(self, w: Monomial) -> bool:
-        return any(divides(g, w) for g in self.generators)
+        _check_same_ground(self, w)
+        return any(all(map(le, g, w.vector)) for g in self.vectors)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.vectors)
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
-        return [g.vector for g in self.generators]
+        return list(self.vectors)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -347,25 +360,21 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
     zero ideal, in which case ``ground`` must be supplied.
     """
     gens = list(gens)
-    if not gens:
-        if ground is None:
+    if ground is None:
+        if not gens:
             raise ValueError("empty generating set needs an explicit ground set")
-        return MonomialIdeal(ground, ())
-    if ground is not None and ground != gens[0].ground:
-        raise GroundSetMismatch("generators over a different ground set than requested")
-    ground = gens[0].ground
-    for g in gens:
-        if g.ground != ground:
-            raise GroundSetMismatch("generators over different ground sets")
-    kept = _minimal_vectors(g.vector for g in gens)
-    return MonomialIdeal(ground, tuple(Monomial(ground, v) for v in kept))
+        ground = gens[0].ground
+    if any(g.ground != ground for g in gens):
+        raise GroundSetMismatch("generators over different ground sets")
+    return MonomialIdeal(ground, _minimal_vectors(g.vector for g in gens))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     """The colon ideal J : (w), computed generatorwise as g / gcd(g, w)."""
     if w.ground != J.ground:
         raise GroundSetMismatch("colon divisor over a different ground set")
-    return minimalize((g.divide_by(g.gcd(w)) for g in J.generators), J.ground)
+    cut = [tuple(max(x - e, 0) for x, e in zip(g, w.vector)) for g in J.vectors]
+    return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
 
 def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -377,25 +386,19 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     """
     if w.ground != J.ground:
         raise GroundSetMismatch("saturating monomial over a different ground set")
-    keep = [not e for e in w.vector]
-    return minimalize(
-        (Monomial(J.ground, tuple(x if k else 0 for x, k in zip(g.vector, keep)))
-         for g in J.generators),
-        J.ground,
-    )
+    cut = [tuple(0 if e else x for x, e in zip(g, w.vector)) for g in J.vectors]
+    return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
 
 def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of J^k, from all k-fold products of generators."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    ground = J.ground
-    vecs = J.generator_vectors()
-    products = set()
-    for combo in itertools.combinations_with_replacement(vecs, k):
-        products.add(tuple(sum(col) for col in zip(*combo)))
-    kept = _minimal_vectors(products)
-    return MonomialIdeal(ground, tuple(Monomial(ground, v) for v in kept))
+    products = {
+        tuple(sum(col) for col in zip(*combo))
+        for combo in itertools.combinations_with_replacement(J.vectors, k)
+    }
+    return MonomialIdeal(J.ground, _minimal_vectors(products))
 
 
 # --- shared text format ---------------------------------------------------

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .borel import borel_closure, is_power_generator, power_generators
-from .monomials import Monomial, SquarefreeMonomial, lex_key
+from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial, lex_key
 
 
-def _colon_variables(gen: Monomial, cap: int) -> frozenset[int]:
-    top = gen.max_index
-    return frozenset(j for j, e in zip(gen.ground.indices, gen.vector) if j < top and e != cap)
+def _colon_variables(labels, vec, cap: int) -> frozenset[int]:
+    top = max(j for j, e in zip(labels, vec) if e)
+    return frozenset(j for j, e in zip(labels, vec) if j < top and e != cap)
 
 
 def linear_quotient_set(gens: Sequence[Monomial], i: int, cap: int) -> frozenset[int]:
@@ -42,7 +42,7 @@ def linear_quotient_set(gens: Sequence[Monomial], i: int, cap: int) -> frozenset
         raise ValueError("generators not sorted in strictly decreasing lex order")
     if i == 1:
         return frozenset()
-    return _colon_variables(gens[i - 1], cap)
+    return _colon_variables(gens[i - 1].ground.indices, gens[i - 1].vector, cap)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class QuotientProfile:
 
 def _power_profile(
     u: SquarefreeMonomial, k: int, n: int | None = None
-) -> tuple[tuple[Monomial, ...], QuotientProfile]:
-    """The generators of the k-th power, built once, and their profile."""
+) -> tuple[MonomialIdeal, QuotientProfile]:
+    """The k-th power, built once, and its profile."""
     ground = u.ground
     if not ground.is_contiguous:
         raise ValueError("quotient profile needs contiguous labels 1..n")
@@ -68,16 +68,16 @@ def _power_profile(
         n = len(ground)
     elif n != len(ground):
         raise ValueError(f"n={n} does not match ground set of size {len(ground)}")
-    gens = power_generators(u, k).generators
+    J = power_generators(u, k)
     sets = [frozenset()]
-    sets += [_colon_variables(g, k) for g in gens[1:]]
+    sets += [_colon_variables(ground.indices, g, k) for g in J.vectors[1:]]
     q = max(len(s) for s in sets)
     if q >= n:
         raise AssertionError("colon sets live below max(u_i), so q must stay below n")
     profile = QuotientProfile(
         n=n, k=k, colon_sets=tuple(sets), q=q, depth=n - q - 1, m_in_ass=(q == n - 1)
     )
-    return gens, profile
+    return J, profile
 
 
 def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> QuotientProfile:
@@ -130,7 +130,7 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
         raise AssertionError("witness fails the membership test")
     if witness not in borel_closure(u.power(k), k):
         raise AssertionError("witness not in the closure")
-    if len(_colon_variables(witness, k)) != n - 1:
+    if len(_colon_variables(ground.indices, witness.vector, k)) != n - 1:
         raise AssertionError("witness colon set is not of size n - 1")
     return witness
 

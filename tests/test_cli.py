@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,3 +286,65 @@ class TestJsonRoundTrips:
             got_local, got_expansion = jsonio.localization_from_obj(obj)
             assert got_local == local
             assert got_expansion == expansion
+
+
+def test_validate_refuses_n_above_enumeration_bound(tmp_path):
+    argv = ["validate", "--u", "5", "--n", "13", "--kmax", "1"]
+    code, out, err = invoke(argv)
+    assert code == 1 and "enumeration bound" in err and not out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_n": 13}))
+    code, out, _ = invoke(["--config", str(cfg), *argv])
+    assert code == 0 and "checks passed" in out
+
+
+# Makes the closed form drop the first index of u_A, so the localize verb's
+# self-check against the saturation route fails.
+BROKEN_CLOSED_FORM = """
+import sys
+from borelstab import localization
+from borelstab.cli import run
+
+real = localization.localize_closed_form
+
+
+def dropped(u, A):
+    local = real(u, A)
+    return localization.LocalizedGenerator(local.indices[1:], local.ground)
+
+
+localization.localize_closed_form = dropped
+sys.exit(run(sys.argv[1:]))
+"""
+
+LOCALIZE = ["localize", "--u", "1,3,4,5", "--n", "5", "--A", "1,2"]
+
+
+def test_internal_fault_exits_4(monkeypatch):
+    from borelstab import localization
+
+    real = localization.localize_closed_form
+
+    def dropped(u, A):
+        local = real(u, A)
+        return localization.LocalizedGenerator(local.indices[1:], local.ground)
+
+    monkeypatch.setattr(localization, "localize_closed_form", dropped)
+    code, out, err = invoke(LOCALIZE)
+    assert code == 4 and not out
+    assert err == "internal error: closed form and saturation disagree\n"
+
+
+def test_internal_fault_exits_4_under_optimize(monkeypatch):
+    import borelstab
+
+    src = str(Path(borelstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CLOSED_FORM, *LOCALIZE],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("internal error: ")

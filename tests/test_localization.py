@@ -5,16 +5,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelstab import (
     GroundSet,
     VariableSubset,
     compose_localizations_check,
     expand_squarefree,
+    ideal_power,
     localize_by_saturation,
     localize_closed_form,
     localized_expansion,
     parse_subset,
+    power_generators,
     saturate,
 )
 from conftest import all_squarefree, all_subsets, ideal, mono, sf
@@ -204,3 +208,26 @@ class TestComposition:
             assert compose_localizations_check(
                 u, VariableSubset(g, a_members), VariableSubset(g, b_members)
             )
+
+
+@st.composite
+def wide_cases(draw):
+    """A squarefree ``u`` of degree 2..4 over n = 9..12 variables, a proper
+    subset ``A`` and a power k <= 2."""
+    n = draw(st.integers(9, 12))
+    labels = draw(st.lists(st.integers(1, n), min_size=2, max_size=4, unique=True))
+    A = draw(st.lists(st.integers(1, n), max_size=n - 1, unique=True))
+    return sf(GroundSet.contiguous(n), *sorted(labels)), A, draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(wide_cases())
+def test_localized_power_beyond_exhaustive_range(case):
+    u, members, k = case
+    A = VariableSubset(u.ground, tuple(members))
+    local = localize_by_saturation(power_generators(u, k), A)
+    expansion = localized_expansion(u, A)
+    if expansion is None:
+        assert local.is_unit
+    else:
+        assert local == ideal_power(expansion, k)
