@@ -5,12 +5,15 @@ the package: it works on raw exponent vectors, never consults the
 closed-form shortcuts it is meant to check, and certifies its own output
 twice over.  One sweep over the exponent box prod(b_i + 1), with ``b`` the
 componentwise maximum of the generators, finds the socle cells of
-``J + (x_i^{b_i+1})``.  Each cell ``w`` gives an irredundant irreducible
-component (Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5);
-its support is an associated prime and ``w`` is a colon witness for it.
-Every reported prime is confirmed by recomputing ``J : w = P`` with
-separate code.  A failed certificate is a bug, not a data condition, and
-raises immediately.
+``J + (x_i^{b_i+1})``.  The sweep is a bitset: the box is one integer with
+one bit per cell, closed upward along each axis by whole-integer shifts,
+so a few box-sized integers of ``cells / 8`` bytes (1.25 MB at the default
+ceiling) are alive at once.  Each socle cell ``w`` gives an irredundant
+irreducible component (Miller-Sturmfels, *Combinatorial Commutative
+Algebra*, ch. 5); its support is an associated prime and ``w`` is a colon
+witness for it.  Every reported prime is confirmed by recomputing
+``J : w = P`` with separate code.  A failed certificate is a bug, not a
+data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership)
@@ -88,30 +91,62 @@ def _cells(bounds, ceiling: int) -> int:
     return cells
 
 
-def _socle(J: MonomialIdeal, ceiling: int):
-    """Yield, in increasing lex order, the socle cells of ``J + (x_i^{b_i+1})``.
+def _axis_mask(low: int, period: int, cells: int) -> int:
+    """The cells whose offset within their ``period``-block is at least
+    ``low``: one block, doubled until it covers the box, trimmed to it."""
+    pattern, width = (1 << period) - (1 << low), period
+    while width < cells:
+        pattern |= pattern << width
+        width *= 2
+    return pattern >> (width - cells)
 
-    One lex pass over the box prod(b_i + 1) fills a membership bytearray: a
-    cell is in J if it is a generator or if the cell one step down in some
-    coordinate is in J (that cell comes earlier in lex order).  A socle
-    cell ``w`` lies outside J while every step up that stays in the box
-    lands in J.  Its prime is ``{i : w_i < b_i}``, and ``w`` is a colon
-    witness for it.  The box is refused before allocation when it has more
-    than ``ceiling`` cells.
+
+def _socle(J: MonomialIdeal, ceiling: int):
+    """The socle of ``J + (x_i^{b_i+1})`` as a bitset: ``(axes, socle, interior)``.
+
+    The box prod(b_i + 1) is one integer, one bit per cell in lex order;
+    ``axes`` pairs the stride ``s_i`` of each axis with ``b_i``.  The
+    generator bits are closed upward ``b_i`` times per axis by
+    ``inside |= (inside << s_i) & up_i``, with ``up_i`` the cells where
+    ``w_i >= 1``.  A socle cell lies outside J while every step up that
+    stays in the box lands in J: ``~inside & AND_i((inside >> s_i) | top_i)``,
+    with ``top_i`` the cells where ``w_i = b_i``; ``interior`` is the box
+    off every ``top_i``.  Each axis mask lives only in its own loop.  The
+    box is refused before allocation when it has more than ``ceiling`` cells.
     """
     bounds = _bounds(J)
-    inside = bytearray(_cells(bounds, ceiling))
-    strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
-    axes = tuple(zip(range(len(bounds)), strides, bounds))
-    ranges = [range(b + 1) for b in bounds]
+    cells = _cells(bounds, ceiling)
+    axes = [(math.prod(b + 1 for b in bounds[i + 1 :]), b) for i, b in enumerate(bounds)]
+    bits = bytearray((cells + 7) // 8)
     for g in J.vectors:
-        inside[sum(e * s for e, s in zip(g, strides))] = 1
-    for cell, w in enumerate(itertools.product(*ranges)):
-        if not inside[cell] and any(w[i] and inside[cell - s] for i, s, _ in axes):
-            inside[cell] = 1
-    for cell, w in enumerate(itertools.product(*ranges)):
-        if not inside[cell] and all(w[i] == b or inside[cell + s] for i, s, b in axes):
-            yield w
+        cell = sum(e * s for e, (s, _) in zip(g, axes))
+        bits[cell >> 3] |= 1 << (cell & 7)
+    inside = int.from_bytes(bits, "little")
+    del bits
+    for s, b in axes:
+        up = _axis_mask(s, s * (b + 1), cells)
+        for _ in range(b):
+            inside |= (inside << s) & up
+    socle = interior = (1 << cells) - 1
+    for s, b in axes:
+        top = _axis_mask(s * b, s * (b + 1), cells)
+        socle &= (inside >> s) | top
+        interior &= ~top
+    return axes, socle & ~inside, interior
+
+
+def _socle_cells(J: MonomialIdeal, ceiling: int):
+    """``(bounds, cells)``: the socle cells as exponent vectors, in lex
+    order, which is the order of their bits from the lowest up."""
+    axes, socle, _ = _socle(J, ceiling)
+    cells = []
+    for pos, byte in enumerate(socle.to_bytes((socle.bit_length() + 7) // 8, "little")):
+        while byte:
+            low = byte & -byte
+            cell = 8 * pos + low.bit_length() - 1
+            cells.append(tuple(cell // s % (b + 1) for s, b in axes))
+            byte ^= low
+    return [b for _, b in axes], cells
 
 
 def irreducible_decomposition(
@@ -124,10 +159,10 @@ def irreducible_decomposition(
     """
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no irreducible decomposition")
-    bounds = _bounds(J)
+    bounds, cells = _socle_cells(J, ceiling)
     out = [
         IrreducibleComponent(J.ground, tuple(e + 1 if e < b else 0 for e, b in zip(w, bounds)))
-        for w in _socle(J, ceiling)
+        for w in cells
     ]
     out.sort(key=lambda comp: (len(comp.support), comp.powers))
     return tuple(out)
@@ -138,19 +173,18 @@ def associated_primes(
 ):
     """Associated primes of S/J as sorted label tuples.
 
-    Supports of the irredundant irreducible components.  The witness of a
-    prime is the socle cell of its first component; ``J : w`` is recomputed
-    and must equal the prime.  With ``with_witnesses`` returns a dict
+    The primes ``{i : w_i < b_i}`` of the socle cells ``w``.  The witness
+    of a prime is its first cell in lex order; ``J : w`` is recomputed and
+    must equal the prime.  With ``with_witnesses`` returns a dict
     ``prime -> witness`` instead of the bare tuple of primes.
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
     ground = J.ground
-    bounds = _bounds(J)
+    bounds, socle_cells = _socle_cells(J, ceiling)
     cells: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for comp in irreducible_decomposition(J, ceiling):
-        w = tuple(e - 1 if e else b for e, b in zip(comp.vector, bounds))
-        cells.setdefault(comp.support, w)
+    for w in socle_cells:
+        cells.setdefault(tuple(i for i, e, b in zip(ground, w, bounds) if e < b), w)
     primes = sorted(cells, key=lambda p: (len(p), p))
     witnesses = {p: Monomial(ground, cells[p]) for p in primes}
     unit = {i: tuple(int(j == pos) for j in range(len(ground))) for pos, i in enumerate(ground)}
@@ -162,12 +196,12 @@ def associated_primes(
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
     """Depth-zero test: some ``w`` outside ``J`` has ``w * x_i`` in ``J``
-    for every variable, i.e. some irreducible component involves every
-    variable and the full set is an associated prime."""
+    for every variable, i.e. some socle cell lies off every top face and
+    the full set is an associated prime."""
     if J.is_zero or J.is_unit:
         raise ValueError("depth-zero test needs a proper nonzero ideal")
-    everything = J.ground.indices
-    return any(c.support == everything for c in irreducible_decomposition(J, ceiling))
+    _, socle, interior = _socle(J, ceiling)
+    return socle & interior != 0
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,19 @@ def test_criterion_4_constructed_generators_hit_every_index():
                     assert m_in_ass(power) == (k == i), (d, i, k)
 
 
+def test_criterion_4_sharp_by_the_oracle():
+    # every witness with d <= 6: m is not associated to I^(i-1) and is to
+    # I^i, by the brute-force sweep alone; about 2.3 s on a 2-core x86 VM,
+    # most of it building the powers, so a runner at half speed (4.6 s)
+    # still has twice that within the budget
+    with _Criterion(4, "the oracle confirms every witness index is sharp, d <= 6", 10):
+        for d in range(2, 7):
+            for i in range(2, d + 1):
+                u, n = lambda_value_witness(d, i)
+                assert not m_in_ass(power_generators(u, i - 1)), (d, i, i - 1)
+                assert m_in_ass(power_generators(u, i)), (d, i, i)
+
+
 def test_criterion_5_depth_formula_equals_oracle():
     with _Criterion(5, "q = n-1 iff the oracle sees the maximal ideal", 600):
         for n in range(1, 6):

@@ -2,6 +2,7 @@
 profiles, persistence and cross-validation."""
 
 import itertools
+import math
 import random
 import time
 
@@ -19,13 +20,14 @@ from borelstab import (
     expand_squarefree,
     ideal_power,
     irreducible_decomposition,
+    lambda_of_prime,
     localize_by_saturation,
     m_in_ass,
     minimalize,
     persistence_scan,
     stable_set_enumerate,
 )
-from conftest import all_squarefree, box_vectors, ideal, mono, sf
+from conftest import all_squarefree, all_subsets, box_vectors, ideal, mono, sf
 
 
 class TestIrreducibleDecomposition:
@@ -239,6 +241,25 @@ class TestCrossValidate:
             cross_validate(sf(g8, *idx), kmax=2)
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exhaustive_full_depth(self, n):
+        # kmax = astab(u) + 1, astab the largest finite lambda_A: the closed
+        # form only picks how deep to look, cross_validate checks every power
+        # up to one past the last change with the oracle alone.  n = 6 takes
+        # about 2.7 s on a 2-core x86 VM, 5.4 s at half speed.
+        start = time.perf_counter()
+        for u in all_squarefree(n):
+            finite = [
+                lam
+                for members in all_subsets(n)
+                if (lam := lambda_of_prime(u, VariableSubset(u.ground, members), n))
+                != math.inf
+            ]
+            report = cross_validate(u, kmax=max(finite) + 1)
+            # every index was reached, so every one was checked for sharpness
+            assert report.sharpness_checks == len(finite), u
+        assert time.perf_counter() - start < 15
+
     def test_worked_example_full_depth(self, worked_generator):
         report = cross_validate(worked_generator, kmax=3)
         assert report.depth_checks == 3
@@ -265,6 +286,17 @@ class TestLocalizationCommutesWithAss:
                             assert (A.complement in primes) == inside, (u, members, k)
 
 
+def _colon_cells(J):
+    """Every cell ``w`` of the box with ``J : w`` an exact monomial prime,
+    in lex order, paired with that prime as a sorted label tuple."""
+    ground = J.ground
+    bounds = [max(g.exponent(i) for g in J.generators) for i in ground.indices]
+    for vec in box_vectors(bounds):
+        q = colon(J, Monomial.from_vector(ground, vec))
+        if q.generators and all(m.degree == 1 for m in q.generators):
+            yield vec, tuple(sorted(m.support[0] for m in q.generators))
+
+
 def _primes_by_colon_enumeration(J):
     """Every monomial prime arising as an exact colon J : w over the box.
 
@@ -272,15 +304,7 @@ def _primes_by_colon_enumeration(J):
     witness confirmation because it would also expose primes the
     decomposition route missed.
     """
-    ground = J.ground
-    bounds = [max(g.exponent(i) for g in J.generators) for i in ground.indices]
-    found = set()
-    for vec in box_vectors(bounds):
-        w = Monomial.from_vector(ground, vec)
-        q = colon(J, w)
-        if q.generators and all(m.degree == 1 for m in q.generators):
-            found.add(tuple(sorted(m.support[0] for m in q.generators)))
-    return found
+    return {prime for _, prime in _colon_cells(J)}
 
 
 def test_decomposition_route_equals_colon_enumeration():
@@ -301,6 +325,64 @@ def test_decomposition_route_equals_colon_enumeration():
             continue
         assert set(associated_primes(J)) == _primes_by_colon_enumeration(J), J
         checked += 1
+
+
+def _referee_corpus():
+    """Seeded random ideals over 1-4 variables with exponents up to 3,
+    some over the ground set {2, 5, 7} and some with a variable that no
+    generator uses (a box axis with b_i = 0), plus one of each by hand."""
+    g257 = GroundSet((2, 5, 7))
+    yield ideal(mono(GroundSet.contiguous(1), x1=3))
+    yield ideal(mono(g257, x2=2, x5=1), mono(g257, x5=3, x7=1), mono(g257, x7=2))
+    yield ideal(mono(GroundSet.contiguous(3), x1=2), mono(GroundSet.contiguous(3), x1=1, x3=1))
+    rng = random.Random(2013)
+    made = 0
+    while made < 150:
+        n = rng.randint(1, 4)
+        ground = g257 if n == 3 and rng.random() < 0.5 else GroundSet.contiguous(n)
+        unused = rng.randrange(n) if n > 1 and rng.random() < 0.25 else None
+        vecs = [
+            tuple(0 if pos == unused else rng.randint(0, 3) for pos in range(n))
+            for _ in range(rng.randint(1, 5))
+        ]
+        J = minimalize([Monomial(ground, v) for v in vecs if any(v)], ground=ground)
+        if J.is_zero or J.is_unit:
+            continue
+        made += 1
+        yield J
+
+
+def test_sweep_agrees_with_colon_referee():
+    # the socle cells are the colon cells w with w_i = b_i off the prime
+    seen = {"n=1": 0, "b_i=0": 0, "vars 2,5,7": 0}
+    for J in _referee_corpus():
+        ground = J.ground
+        bounds = [max(column) for column in zip(*J.vectors)]
+        colon_cells = list(_colon_cells(J))
+        socle = [
+            (vec, prime)
+            for vec, prime in colon_cells
+            if all(e == b for i, e, b in zip(ground, vec, bounds) if i not in prime)
+        ]
+        expected = {}
+        for vec, prime in socle:
+            expected.setdefault(prime, vec)
+        assert set(expected) == {prime for _, prime in colon_cells}, J
+
+        witnessed = associated_primes(J, with_witnesses=True)
+        assert list(witnessed) == sorted(expected, key=lambda p: (len(p), p)), J
+        assert {p: w.vector for p, w in witnessed.items()} == expected, J
+        components = sorted(c.vector for c in irreducible_decomposition(J))
+        assert components == sorted(
+            tuple(e + 1 if i in prime else 0 for i, e in zip(ground, vec))
+            for vec, prime in socle
+        ), J
+        assert m_in_ass(J) == (ground.indices in expected), J
+
+        seen["n=1"] += len(ground) == 1
+        seen["b_i=0"] += 0 in bounds
+        seen["vars 2,5,7"] += ground.indices == (2, 5, 7)
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def test_generator_ceiling(g3):
