@@ -6,17 +6,25 @@ A monomial ideal generated in one degree, with all exponents at most
 ``x_i`` in ``u`` below the cap.  A principal Borel ideal is the smallest
 such ideal containing a single generator.
 
-The breadth-first closure is the definitional source of truth here.  The
-partial-sum membership test :func:`is_power_generator` is a fast
-equivalent for generators of powers of squarefree principal ideals; it is
-validated exhaustively against the closure in the acceptance suite and
-must not be trusted outside that validated regime.
+Every generator set here comes from one walk, :func:`borel_closure`, by
+this description: the cap-``c`` closure of ``w`` is the set of vectors
+``v`` with ``deg v = deg w``, every ``v_i <= c``, and every prefix sum of
+``v`` at least that of ``w``.  An exchange only raises prefix sums, so the
+closure lies in the set.  Conversely, for ``v != w`` in it, let ``i`` be
+the first position where they differ and ``j`` the first after ``i`` with
+``w_j > 0``.  Then ``v_i > w_i``, so ``w_i < c``; moving a unit from ``j``
+to ``i`` is a capped exchange whose result ``v`` still dominates, with a
+smaller total prefix gap.  Induction on that gap reaches ``v``.
+
+The breadth-first closure over :func:`borel_moves` is the definitional
+route; the tests keep it as the walk's referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from itertools import accumulate
+from operator import ge, le
 
 from .monomials import (
     GroundSet,
@@ -32,32 +40,37 @@ class NotPrincipalError(ValueError):
     """The ideal is not generated by a single Borel generator."""
 
 
-def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
-    """All squarefree monomials dominating ``u`` positionwise.
-
-    For ``u = x_{i_1} ... x_{i_d}`` these are the ``x_{j_1} ... x_{j_d}``
-    with ``j_1 < ... < j_d`` drawn from the ground set and ``j_t <= i_t``
-    for every position ``t``.  The result is the minimal generating set of
-    the squarefree strongly stable ideal with Borel generator ``u``; all
-    generators share degree d, so it is automatically minimal.
-    """
-    ground = u.ground
-    tops = [ground.position(i) for i in u.indices]
-    gens: list[tuple[int, ...]] = []
-
-    def extend(vec: tuple[int, ...], start: int, t: int) -> None:
-        if t == len(tops):
-            gens.append(vec)
-            return
-        for p in range(start, tops[t] + 1):
-            extend(vec[:p] + (1,) + vec[p + 1 :], p + 1, t + 1)
-
-    extend((0,) * len(ground), 0, 0)
-    return MonomialIdeal(ground, gens)
-
-
 def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
     return any(e > cap for e in vec if e)
+
+
+def _power_vector(u: SquarefreeMonomial, k: int) -> tuple[int, ...]:
+    """The exponent vector of ``u^k``, built without a ``Monomial``."""
+    support = set(u.indices)
+    return tuple(k if i in support else 0 for i in u.ground)
+
+
+def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
+    """The cap closure of ``w``, whose entries must not exceed ``cap``, in
+    decreasing lex order, by a depth-first walk over the prefix bound.
+
+    After a prefix with sum ``s``, the next entry runs from ``max(0, W - s)``
+    to ``min(cap, deg w - s)``, ``W`` being ``w``'s prefix sum there.  Filling
+    later positions up to the cap meets every later bound, so no branch is
+    dead.  The stack is explicit, so no recursion limit caps the ground set.
+    """
+    bounds = list(accumulate(w))
+    degree = bounds[-1]
+    gens: list[tuple[int, ...]] = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, s = stack.pop()
+        if s == degree:
+            gens.append(prefix + (0,) * (len(w) - len(prefix)))
+            continue
+        low, high = max(0, bounds[len(prefix)] - s), min(cap, degree - s)
+        stack.extend((prefix + (e,), s + e) for e in range(low, high + 1))
+    return gens
 
 
 def borel_moves(vec: tuple[int, ...], cap: int):
@@ -74,66 +87,43 @@ def borel_moves(vec: tuple[int, ...], cap: int):
 
 
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
-    """Smallest cap-strongly stable generator set containing ``w`` (BFS).
-
-    The visited set is keyed on exponent vectors, so generation order does
-    not influence the result.
-    """
+    """Smallest cap-strongly stable generator set containing ``w``, each
+    generator emitted once by the prefix-dominance walk."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
     if _over_cap(w.vector, cap):
         raise ValueError(f"exponent above cap {cap} in {w}")
-    seen = {w.vector}
-    frontier = [w.vector]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for moved in borel_moves(v, cap):
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return MonomialIdeal(w.ground, tuple(seen))
+    return MonomialIdeal(w.ground, _dominating_vectors(w.vector, cap))
+
+
+def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
+    """The minimal generators of the squarefree strongly stable ideal with
+    Borel generator ``u = x_{i_1} ... x_{i_d}``, its cap-1 closure: every
+    ``x_{j_1} ... x_{j_d}`` with ``j_1 < ... < j_d`` in the ground set and
+    ``j_t <= i_t`` for every ``t``."""
+    return MonomialIdeal(u.ground, _dominating_vectors(_power_vector(u, 1), 1))
 
 
 def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
-    """Partial-sum membership test for w in the generators of the k-th power.
-
-    For squarefree ``u = x_{i_1} ... x_{i_d}`` and a candidate ``w`` of
-    degree ``k*d`` with exponents at most ``k``, membership in the closure
-    of ``u^k`` is equivalent to the prefix bound: for every position j the
-    total exponent of ``w`` on labels up to ``i_j`` is at least ``k*j``.
-    Validated against :func:`borel_closure` in the acceptance suite.
-    """
+    """Whether ``w`` (degree ``k*deg u``, exponents at most ``k``) generates
+    the k-th power: the bound :func:`power_generators` walks by, every
+    prefix sum of ``w`` at least the matching prefix sum of ``u^k``."""
     if w.ground != u.ground:
         raise ValueError("mismatched ground sets")
     if w.degree != k * u.degree:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
     if _over_cap(w.vector, k):
         raise ValueError(f"exponent above cap {k} in {w}")
-    total = 0
-    pos = 0
-    checkpoints = u.indices
-    for label, e in zip(w.ground.indices, w.vector):
-        while pos < len(checkpoints) and checkpoints[pos] < label:
-            if total < k * (pos + 1):
-                return False
-            pos += 1
-        total += e
-        while pos < len(checkpoints) and checkpoints[pos] == label:
-            if total < k * (pos + 1):
-                return False
-            pos += 1
-    return pos == len(checkpoints)
+    return all(map(ge, accumulate(w.vector), accumulate(_power_vector(u, k))))
 
 
 def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
-    """Minimal generators of the k-th power of the expansion of ``u``.
-
-    Computed as the Borel closure of ``u^k`` with cap ``k``; this equals
-    ``ideal_power(expand_squarefree(u), k)``, which the tests assert.
-    """
+    """Minimal generators of the k-th power of the expansion of ``u``: the
+    cap-``k`` closure of ``u^k``, which the tests compare with
+    ``ideal_power(expand_squarefree(u), k)``."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return borel_closure(u.power(k), k)
+    return MonomialIdeal(u.ground, _dominating_vectors(_power_vector(u, k), k))
 
 
 def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:

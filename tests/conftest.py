@@ -17,6 +17,7 @@ from borelstab import (
     SquarefreeMonomial,
     minimalize,
 )
+from borelstab.borel import borel_moves
 
 
 def sf(ground: GroundSet, *indices: int) -> SquarefreeMonomial:
@@ -44,6 +45,22 @@ def all_squarefree(n: int):
 def all_subsets(n: int):
     for size in range(n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:
+    """Breadth-first closure of ``w`` under every capped Borel exchange:
+    the definitional referee of ``borel_closure``'s prefix-dominance walk."""
+    seen = {w.vector}
+    frontier = [w.vector]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for moved in borel_moves(v, cap):
+                if moved not in seen:
+                    seen.add(moved)
+                    nxt.append(moved)
+        frontier = nxt
+    return MonomialIdeal(w.ground, tuple(seen))
 
 
 def box_vectors(bounds):

@@ -21,7 +21,6 @@ from borelstab import (
     SquarefreeMonomial,
     VariableSubset,
     ass_profile,
-    borel_closure,
     colon,
     compose_localizations_check,
     cover_positions,
@@ -46,7 +45,7 @@ from borelstab import (
     stable_set_enumerate,
 )
 from borelstab.cli import run
-from conftest import WORKED_TABLE, all_squarefree, all_subsets
+from conftest import WORKED_TABLE, all_squarefree, all_subsets, closure_by_moves
 
 
 class _Criterion:
@@ -269,7 +268,7 @@ def test_criterion_8_power_membership_predicate():
                 for k in (1, 2, 3):
                     members = {
                         m.exponent_vector()
-                        for m in borel_closure(u.power(k), k).generators
+                        for m in closure_by_moves(u.power(k), k).generators
                     }
                     target = k * u.degree
                     for vec in itertools.product(range(k + 1), repeat=n):

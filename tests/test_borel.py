@@ -4,6 +4,8 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelstab import (
     BorelPrincipalIdeal,
@@ -18,7 +20,7 @@ from borelstab import (
     is_strongly_stable,
     power_generators,
 )
-from conftest import all_squarefree, ideal, mono, sf
+from conftest import all_squarefree, closure_by_moves, ideal, mono, sf
 
 
 class TestExpandSquarefree:
@@ -41,7 +43,7 @@ class TestExpandSquarefree:
             mono(g5, x1=1, x2=1, x4=1, x5=1),
             mono(g5, x1=1, x3=1, x4=1, x5=1),
         }
-        assert got == borel_closure(worked_generator.to_monomial(), 1)
+        assert got == closure_by_moves(worked_generator.to_monomial(), 1)
 
     def test_general_ground_set(self):
         g = GroundSet((3, 4, 5))
@@ -60,16 +62,48 @@ class TestBorelClosure:
         assert borel_closure(w, k).generators == (w,)
 
     def test_matches_expansion_at_cap_one(self, g3):
-        assert borel_closure(mono(g3, x2=1, x3=1), 1) == expand_squarefree(sf(g3, 2, 3))
+        w = mono(g3, x2=1, x3=1)
+        assert borel_closure(w, 1) == closure_by_moves(w, 1) == expand_squarefree(sf(g3, 2, 3))
 
     def test_hand_bfs_cap_two(self, g3):
         got = borel_closure(mono(g3, x2=2, x3=2), 2)
-        assert got == ideal_power(expand_squarefree(sf(g3, 2, 3)), 2)
+        assert got == ideal_power(closure_by_moves(mono(g3, x2=1, x3=1), 1), 2)
         assert len(got.generators) == 6
 
     def test_cap_violation(self, g3):
         with pytest.raises(ValueError):
             borel_closure(mono(g3, x1=3), 2)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one(self, g3, cap):
+        for w in (Monomial.unit(g3), mono(g3, x2=1)):
+            with pytest.raises(ValueError, match="cap must be positive"):
+                borel_closure(w, cap)
+
+    def test_walk_equals_moves_exhaustive(self):
+        # every w with 1 <= deg <= 8 and entries at most the cap: 1,470
+        # closures, about 0.5 s with the breadth-first referee
+        grounds = [GroundSet.contiguous(n) for n in range(1, 6)] + [GroundSet((2, 5, 7))]
+        count = 0
+        for g in grounds:
+            for cap in (1, 2, 3):
+                for vec in itertools.product(range(cap + 1), repeat=len(g)):
+                    if 1 <= sum(vec) <= 8:
+                        w = Monomial(g, vec)
+                        assert borel_closure(w, cap) == closure_by_moves(w, cap), (g, vec, cap)
+                        count += 1
+        assert count == 1470
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.data())
+    def test_walk_equals_moves_wider(self, data):
+        n = data.draw(st.integers(6, 9), label="n")
+        cap = data.draw(st.integers(1, 3), label="cap")
+        vec = [0] * n
+        for p in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
+            vec[p] = min(cap, vec[p] + 1)
+        w = Monomial(GroundSet.contiguous(n), tuple(vec))
+        assert borel_closure(w, cap) == closure_by_moves(w, cap)
 
     def test_closures_are_strongly_stable(self):
         for n in (2, 3, 4):
@@ -79,7 +113,7 @@ class TestBorelClosure:
                     if not any(vec):
                         continue
                     w = Monomial.from_vector(g, vec)
-                    assert is_strongly_stable(borel_closure(w, k), k)
+                    assert is_strongly_stable(closure_by_moves(w, k), k)
 
 
 class TestPowerMembership:
@@ -109,7 +143,7 @@ class TestPowerMembership:
                 if u.degree > 2:
                     continue
                 for k in (1, 2):
-                    members = set(borel_closure(u.power(k), k).generators)
+                    members = set(closure_by_moves(u.power(k), k).generators)
                     for vec in itertools.product(range(k + 1), repeat=n):
                         if sum(vec) != k * u.degree:
                             continue
@@ -122,7 +156,7 @@ class TestPowerGenerators:
         assert power_generators(sf(g3, 1), 3).generators == (mono(g3, x1=3),)
         assert len(power_generators(sf(g3, 2, 3), 2).generators) == 6
         u = sf(g5, 2, 3, 5)
-        assert power_generators(u, 1) == expand_squarefree(u)
+        assert power_generators(u, 1) == closure_by_moves(u.to_monomial(), 1)
 
     def test_equals_product_route(self):
         for n in range(1, 7):
@@ -133,8 +167,9 @@ class TestPowerGenerators:
 
     def test_wide_product_route(self):
         # one degree: neither route may pay for a pairwise minimality check;
-        # about 0.9 s on a 2-core x86 VM, 1.7 s when sharing one core with a
-        # busy loop, over a minute with the pairwise check
+        # about 0.21 s on a 2-core x86 VM and 0.43 s when sharing one core
+        # with a busy loop (a runner at half speed), so the budget leaves
+        # about 11x; over a minute with the pairwise check
         u = sf(GroundSet.contiguous(12), 8, 10, 12)
         start = time.perf_counter()
         J = power_generators(u, 2)
@@ -188,6 +223,6 @@ class TestExtractBorelGenerator:
 
 def test_borel_principal_ideal_wrapper(g3):
     I = BorelPrincipalIdeal(mono(g3, x2=1, x3=1) ** 2, cap=2)
-    assert I.expansion() == power_generators(sf(g3, 2, 3), 2)
+    assert I.expansion() == closure_by_moves(I.generator, 2)
     with pytest.raises(ValueError):
         BorelPrincipalIdeal(mono(g3, x1=3), cap=2)

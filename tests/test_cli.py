@@ -161,6 +161,11 @@ class TestExitCodes:
         code, _, err = invoke(["validate", "--u", "2,3", "--n", "3", "--kmax", "40"])
         assert code == 1 and "ceiling" in err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_domain_error_on_expand_cap_below_one(self, k):
+        code, out, err = invoke(["expand", "--u", "", "--n", "3", "--k", k])
+        assert (code, out) == (1, "") and "cap must be positive" in err
+
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_kmax": 1}))
