@@ -11,9 +11,14 @@ so a few box-sized integers of ``cells / 8`` bytes (1.25 MB at the default
 ceiling) are alive at once.  Each socle cell ``w`` gives an irredundant
 irreducible component (Miller-Sturmfels, *Combinatorial Commutative
 Algebra*, ch. 5); its support is an associated prime and ``w`` is a colon
-witness for it.  Every reported prime is confirmed by recomputing
-``J : w = P`` with separate code.  A failed certificate is a bug, not a
-data condition, and raises immediately.
+witness for it.  Every reported prime ``P`` is certified by ``|P| + 1``
+membership tests on the generators, never on the bitset: for ``w <= b``,
+``J : w = P`` iff (a) each ``w * x_i`` with ``x_i`` in ``P`` is in ``J``,
+which is ``P <= J : w``, and (b) the cell ``v`` equal to ``w`` on ``P`` and
+to ``b`` off it is not, which is ``J : w <= P``: a monomial ``m`` off ``P``
+has ``m * w`` in ``J`` iff some generator ``g <= m + w``, and as ``g <= b``
+such an ``m`` exists iff ``v`` is in ``J``.  A failed certificate is a
+bug, not a data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership)
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 
 from .borel import expand_squarefree
 from .localization import VariableSubset, localize_by_saturation
@@ -37,7 +43,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
-    colon,
     ideal_power,
 )
 from .quotients import q_invariant
@@ -168,15 +173,31 @@ def irreducible_decomposition(
     return tuple(out)
 
 
+def _contains(vectors, v) -> bool:
+    return any(all(map(le, g, v)) for g in vectors)
+
+
+def _colon_is_prime(vectors, bounds, w, p) -> bool:
+    """Whether ``J : w = (x_i : i in p)``, ``p`` as positions, by tests (a)
+    and (b) of :func:`associated_primes` on the generator vectors."""
+    raised = (w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p)
+    top = tuple(e if i in p else b for i, (e, b) in enumerate(zip(w, bounds)))
+    return all(_contains(vectors, v) for v in raised) and not _contains(vectors, top)
+
+
 def associated_primes(
     J: MonomialIdeal, ceiling: int = CELL_CEILING, with_witnesses: bool = False
 ):
     """Associated primes of S/J as sorted label tuples.
 
     The primes ``{i : w_i < b_i}`` of the socle cells ``w``.  The witness
-    of a prime is its first cell in lex order; ``J : w`` is recomputed and
-    must equal the prime.  With ``with_witnesses`` returns a dict
-    ``prime -> witness`` instead of the bare tuple of primes.
+    of a prime ``P`` is its first cell in lex order.  For ``w <= b``,
+    ``J : w = P`` iff (a) ``w * x_i`` is in ``J`` for each ``x_i`` in ``P``
+    and (b) the cell ``v`` equal to ``w`` on ``P`` and to ``b`` off it is
+    not.  Proof: (a) is ``P <= J : w``; a monomial ``m`` off ``P`` has
+    ``m * w`` in ``J`` iff some generator ``g <= m + w``, and as ``g <= b``
+    such an ``m`` exists iff ``v`` is in ``J``, so (b) is ``J : w <= P``.
+    With ``with_witnesses`` returns a dict ``prime -> witness``.
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
@@ -184,14 +205,14 @@ def associated_primes(
     bounds, socle_cells = _socle_cells(J, ceiling)
     cells: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in socle_cells:
-        cells.setdefault(tuple(i for i, e, b in zip(ground, w, bounds) if e < b), w)
-    primes = sorted(cells, key=lambda p: (len(p), p))
-    witnesses = {p: Monomial(ground, cells[p]) for p in primes}
-    unit = {i: tuple(int(j == pos) for j in range(len(ground))) for pos, i in enumerate(ground)}
-    for p, w in witnesses.items():
-        if set(colon(J, w).vectors) != {unit[i] for i in p}:
-            raise AssertionError(f"J : {w} is not {p} in {J}: the socle sweep is buggy")
-    return witnesses if with_witnesses else tuple(primes)
+        cells.setdefault(tuple(i for i, (e, b) in enumerate(zip(w, bounds)) if e < b), w)
+    witnesses = {}
+    for p in sorted(cells, key=lambda p: (len(p), p)):
+        prime, w = tuple(ground.indices[i] for i in p), Monomial(ground, cells[p])
+        if not _colon_is_prime(J.vectors, bounds, w.vector, p):
+            raise AssertionError(f"J : {w} is not {prime} in {J}: the socle sweep is buggy")
+        witnesses[prime] = w
+    return witnesses if with_witnesses else tuple(witnesses)
 
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:

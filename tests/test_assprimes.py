@@ -27,6 +27,7 @@ from borelstab import (
     persistence_scan,
     stable_set_enumerate,
 )
+from borelstab import assprimes
 from conftest import all_squarefree, all_subsets, box_vectors, ideal, mono, sf
 
 
@@ -383,6 +384,56 @@ def test_sweep_agrees_with_colon_referee():
         seen["b_i=0"] += 0 in bounds
         seen["vars 2,5,7"] += ground.indices == (2, 5, 7)
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_certificate_equals_colon_referee():
+    # tests (a) and (b) decide J : w = P exactly as the built colon ideal
+    # does, for every in-box w and every position set p; the cases where
+    # only (a) fails and where only (b) fails both occur, so neither test
+    # can be dropped
+    seen = {"prime": 0, "only (a) fails": 0, "only (b) fails": 0}
+    for J in _referee_corpus():
+        n = len(J.ground)
+        bounds = [max(column) for column in zip(*J.vectors)]
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        position_sets = [p for r in range(n + 1) for p in itertools.combinations(range(n), r)]
+        for w in box_vectors(bounds):
+            got = set(colon(J, Monomial(J.ground, w)).vectors)
+            for p in position_sets:
+                expected = got == {unit[i] for i in p}
+                assert assprimes._colon_is_prime(J.vectors, bounds, w, p) == expected, (J, w, p)
+                raised = [w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p]
+                top = tuple(e if i in p else c for i, (e, c) in enumerate(zip(w, bounds)))
+                holds_a = all(Monomial(J.ground, v) in J for v in raised)
+                holds_b = Monomial(J.ground, top) not in J
+                seen["prime"] += expected
+                seen["only (a) fails"] += holds_b and not holds_a
+                seen["only (b) fails"] += holds_a and not holds_b
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
+def test_forged_witness_fails_the_certificate(step, monkeypatch):
+    # a socle cell moved one step on an axis inside the box: raised below
+    # its bound it lands in J, which (b) catches; lowered it leaves w * x_j
+    # outside J, which (a) catches
+    J = ideal_power(expand_squarefree(sf(GroundSet.contiguous(4), 2, 4)), 2)
+    real = assprimes._socle_cells
+
+    def forged(*args):
+        bounds, cells = real(*args)
+        for w in cells:
+            for j, (e, b) in enumerate(zip(w, bounds)):
+                if 0 <= e + step <= b:
+                    moved = w[:j] + (e + step,) + w[j + 1 :]
+                    # first in the list, so it is the witness of its prime
+                    return bounds, [moved] + [c for c in cells if c != w]
+        raise AssertionError("no cell can be moved")
+
+    associated_primes(J)
+    monkeypatch.setattr(assprimes, "_socle_cells", forged)
+    with pytest.raises(AssertionError, match="the socle sweep is buggy"):
+        associated_primes(J)
 
 
 def test_generator_ceiling(g3):

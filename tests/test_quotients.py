@@ -18,7 +18,7 @@ from borelstab import (
     q_invariant,
     quotient_profile,
 )
-from conftest import all_squarefree, mono, sf
+from conftest import all_squarefree, closure_by_moves, mono, sf
 
 
 class TestLinearQuotientSet:
@@ -131,6 +131,27 @@ class TestDepthZeroWitness:
     def test_single_variable_generator(self):
         g2 = GroundSet.contiguous(2)
         assert depth_zero_witness(sf(g2, 2), 1) == mono(g2, x2=1)
+
+
+def test_witness_checked_by_moves_and_brute_colon():
+    # independent of the prefix rule that depth_zero_witness applies: the
+    # witness is in the breadth-first closure of u^k, and the brute-force
+    # colon of the generators before it is n - 1 variables
+    checked = 0
+    for n in range(1, 6):
+        for u in all_squarefree(n):
+            if u.min_index <= 1 or u.max_index != n:
+                continue
+            for k in range(u.degree, 4):
+                witness = depth_zero_witness(u, k)
+                gens = closure_by_moves(u.power(k), k).generators
+                assert witness in gens, (u, k)
+                before = minimalize(gens[: gens.index(witness)], ground=u.ground)
+                brute = colon(before, witness)
+                assert all(m.degree == 1 for m in brute.generators), (u, k)
+                assert len(brute.generators) == n - 1, (u, k)
+                checked += 1
+    assert checked == 28, checked
 
 
 def test_colon_formula_vs_brute_force_small():
