@@ -22,7 +22,6 @@ from .assprimes import (
     persistence_scan,
 )
 from .borel import (
-    BorelPrincipalIdeal,
     NotPrincipalError,
     borel_closure,
     expand_squarefree,
@@ -71,7 +70,6 @@ from .quotients import (
 from .stability import (
     INFINITE,
     IntervalDecomposition,
-    MembershipShape,
     StableSetEntry,
     cover_positions,
     ever_associated,
@@ -80,7 +78,6 @@ from .stability import (
     lambda_of_prime,
     lambda_value_witness,
     max_preserved,
-    membership_parameters,
     stable_membership_combinatorial,
     stable_membership_direct,
     stable_set_enumerate,

@@ -22,17 +22,13 @@ route; the tests keep it as the walk's referee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge, le
 
 from .monomials import (
-    GroundSet,
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
-    ideal_power,
-    minimalize,
 )
 
 
@@ -158,37 +154,13 @@ def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
     return candidate
 
 
-@dataclass(frozen=True)
-class BorelPrincipalIdeal:
-    """A principal Borel ideal, held by its generator and exponent cap."""
-
-    generator: Monomial
-    cap: int
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be positive")
-        if _over_cap(self.generator.vector, self.cap):
-            raise ValueError("generator exponent exceeds the cap")
-
-    @property
-    def ground(self) -> GroundSet:
-        return self.generator.ground
-
-    def expansion(self) -> MonomialIdeal:
-        return borel_closure(self.generator, self.cap)
-
-
 __all__ = [
-    "BorelPrincipalIdeal",
     "NotPrincipalError",
     "borel_closure",
     "borel_moves",
     "expand_squarefree",
     "extract_borel_generator",
-    "ideal_power",
     "is_power_generator",
     "is_strongly_stable",
-    "minimalize",
     "power_generators",
 ]

@@ -2,31 +2,28 @@
 
 Monomials become ``{"index": exponent}`` objects with string keys, primes
 become sorted label arrays, and an infinite stability index becomes the
-string ``"inf"``.  Every ``*_to_obj`` has a ``*_from_obj`` inverse so that
-results round-trip exactly; tests rely on that.
+string ``"inf"``.  The encoders only write: no verb reads JSON back, and
+the CLI goldens pin every encoder's output byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .assprimes import AssProfile, CrossValidationReport, PersistenceReport
-from .localization import LocalizedGenerator
-from .monomials import GroundSet, Monomial, MonomialIdeal, SquarefreeMonomial
-from .quotients import QuotientProfile
-from .stability import StableSetEntry
+if TYPE_CHECKING:
+    from .assprimes import AssProfile, CrossValidationReport, PersistenceReport
+    from .localization import LocalizedGenerator
+    from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
+    from .quotients import QuotientProfile
+    from .stability import StableSetEntry
 
 SCHEMA_VERSION = 1
 
 
 def monomial_to_obj(w: Monomial) -> dict[str, int]:
     return {str(i): e for i, e in w.exps}
-
-
-def monomial_from_obj(obj: dict[str, int], ground: GroundSet) -> Monomial:
-    return Monomial.make(ground, {int(i): e for i, e in obj.items()})
 
 
 def squarefree_to_obj(u: SquarefreeMonomial) -> dict[str, int]:
@@ -37,22 +34,12 @@ def lambda_to_obj(value: int | float) -> int | str:
     return "inf" if value == math.inf else int(value)
 
 
-def lambda_from_obj(obj: int | str) -> int | float:
-    return math.inf if obj == "inf" else int(obj)
-
-
 def ideal_to_obj(J: MonomialIdeal) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "ground": list(J.ground.indices),
         "generators": [monomial_to_obj(g) for g in J.generators],
     }
-
-
-def ideal_from_obj(obj: dict[str, Any]) -> MonomialIdeal:
-    ground = GroundSet(tuple(obj["ground"]))
-    gens = tuple(monomial_from_obj(g, ground) for g in obj["generators"])
-    return MonomialIdeal(ground, gens)
 
 
 def entry_to_obj(entry: StableSetEntry) -> dict[str, Any]:
@@ -64,18 +51,6 @@ def entry_to_obj(entry: StableSetEntry) -> dict[str, Any]:
         "member": entry.member,
         "lambda": lambda_to_obj(entry.stability_index),
     }
-
-
-def entry_from_obj(obj: dict[str, Any]) -> StableSetEntry:
-    prime = tuple(obj["prime"])
-    indices = tuple(sorted(int(i) for i in obj["uA"]))
-    return StableSetEntry(
-        subset=tuple(obj["A"]),
-        generator=LocalizedGenerator(indices, prime),
-        prime=prime,
-        member=obj["member"],
-        stability_index=lambda_from_obj(obj["lambda"]),
-    )
 
 
 def stable_set_to_obj(u: SquarefreeMonomial, entries) -> dict[str, Any]:
@@ -106,17 +81,6 @@ def localization_to_obj(
     }
 
 
-def localization_from_obj(obj: dict[str, Any]) -> tuple[LocalizedGenerator, MonomialIdeal | None]:
-    local = LocalizedGenerator(
-        tuple(sorted(int(i) for i in obj["uA"])), tuple(obj["ground"])
-    )
-    if obj["unit_ideal"]:
-        return local, None
-    ground = GroundSet(tuple(obj["ground"]))
-    gens = tuple(monomial_from_obj(g, ground) for g in obj["generators"])
-    return local, MonomialIdeal(ground, gens)
-
-
 def quotient_profile_to_obj(u: SquarefreeMonomial, profile: QuotientProfile) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -128,17 +92,6 @@ def quotient_profile_to_obj(u: SquarefreeMonomial, profile: QuotientProfile) -> 
         "depth": profile.depth,
         "m_in_ass": profile.m_in_ass,
     }
-
-
-def quotient_profile_from_obj(obj: dict[str, Any]) -> QuotientProfile:
-    return QuotientProfile(
-        n=obj["n"],
-        k=obj["k"],
-        colon_sets=tuple(frozenset(s) for s in obj["colon_sets"]),
-        q=obj["q"],
-        depth=obj["depth"],
-        m_in_ass=obj["m_in_ass"],
-    )
 
 
 def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
@@ -165,29 +118,6 @@ def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
     }
 
 
-def ass_profile_from_obj(obj: dict[str, Any]) -> AssProfile:
-    ground = GroundSet.contiguous(obj["n"])
-    u = SquarefreeMonomial(ground, tuple(sorted(int(i) for i in obj["u"])))
-    primes = []
-    witnesses = []
-    for entry in obj["powers"]:
-        primes.append(tuple(tuple(p) for p in entry["primes"]))
-        witnesses.append(
-            tuple(
-                (tuple(w["prime"]), monomial_from_obj(w["witness"], ground))
-                for w in entry["witnesses"]
-            )
-        )
-    return AssProfile(
-        u=u,
-        n=obj["n"],
-        kmax=obj["kmax"],
-        primes_by_power=tuple(primes),
-        witnesses_by_power=tuple(witnesses),
-        stable_from=obj["stable_from"],
-    )
-
-
 def persistence_to_obj(report: PersistenceReport) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -197,17 +127,6 @@ def persistence_to_obj(report: PersistenceReport) -> dict[str, Any]:
         "violations": [{"k": k, "prime": list(p)} for k, p in report.violations],
         "ok": report.ok,
     }
-
-
-def persistence_from_obj(obj: dict[str, Any]) -> PersistenceReport:
-    ground = GroundSet.contiguous(obj["n"])
-    u = SquarefreeMonomial(ground, tuple(sorted(int(i) for i in obj["u"])))
-    return PersistenceReport(
-        u=u,
-        n=obj["n"],
-        kmax=obj["kmax"],
-        violations=tuple((v["k"], tuple(v["prime"])) for v in obj["violations"]),
-    )
 
 
 def cross_validation_to_obj(report: CrossValidationReport) -> dict[str, Any]:
@@ -226,21 +145,6 @@ def cross_validation_to_obj(report: CrossValidationReport) -> dict[str, Any]:
     }
 
 
-def cross_validation_from_obj(obj: dict[str, Any]) -> CrossValidationReport:
-    ground = GroundSet.contiguous(obj["n"])
-    u = SquarefreeMonomial(ground, tuple(sorted(int(i) for i in obj["u"])))
-    checks = obj["checks"]
-    return CrossValidationReport(
-        u=u,
-        n=obj["n"],
-        kmax=obj["kmax"],
-        depth_checks=checks["depth"],
-        localization_checks=checks["localization"],
-        membership_checks=checks["membership"],
-        sharpness_checks=checks["sharpness"],
-    )
-
-
 def emit(obj: Any) -> str:
     """Serialize an already-encoded object deterministically."""
     return json.dumps(obj, indent=2, sort_keys=False)
@@ -248,24 +152,15 @@ def emit(obj: Any) -> str:
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ass_profile_from_obj",
     "ass_profile_to_obj",
-    "cross_validation_from_obj",
     "cross_validation_to_obj",
     "emit",
-    "entry_from_obj",
     "entry_to_obj",
-    "ideal_from_obj",
     "ideal_to_obj",
-    "lambda_from_obj",
     "lambda_to_obj",
-    "localization_from_obj",
     "localization_to_obj",
-    "monomial_from_obj",
     "monomial_to_obj",
-    "persistence_from_obj",
     "persistence_to_obj",
-    "quotient_profile_from_obj",
     "quotient_profile_to_obj",
     "squarefree_to_obj",
     "stable_set_to_obj",

@@ -9,11 +9,12 @@ decomposition of the support: with block lengths ``l_j`` and gap lengths
     lambda = max_j  ceil( (l_1+...+l_j) / (gap_1+...+gap_j) ) + 1.
 
 A prime ``P_A`` is eventually associated iff the maximal ideal of the
-localized ring is, which turns into two conditions on the localized
-generator ``u_A``: its minimum must exceed the smallest variable outside
-``A`` and its maximum must reach the largest one.  Both a direct route
-(compute ``u_A``) and a purely combinatorial route (on ``u`` and ``A``
-alone) are implemented; they must always agree and the tests enforce it.
+localized ring is, that is iff its index ``lambda_A``, the maximal-ideal
+index of the localized generator ``u_A``, is finite.  That is the direct
+route: membership is ``lambda_A < inf``.  Its referee is the purely
+combinatorial route on ``u`` and ``A`` alone, which never computes the
+min and max of ``u_A``; :func:`stable_set_enumerate` raises whenever the
+two disagree.
 
 One-variable degenerate case: the general theory excludes a generator
 equal to the single variable of its ring, but such localizations do occur
@@ -87,11 +88,9 @@ def interval_decomposition(u: SquarefreeMonomial, n: int | None = None) -> Inter
 
 
 def ever_associated(u: SquarefreeMonomial, n: int | None = None) -> bool:
-    """Whether the maximal ideal is associated to some power at all."""
-    n = _require_contiguous(u, n)
-    if n == 1:
-        return True  # the ideal is the maximal ideal of a one-variable ring
-    return u.min_index > 1 and u.max_index == n
+    """Whether the maximal ideal is associated to some power at all: its
+    index is finite."""
+    return lambda_max_ideal(u, n) != INFINITE
 
 
 def lambda_max_ideal(u: SquarefreeMonomial, n: int | None = None) -> int | float:
@@ -176,65 +175,11 @@ def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MembershipShape:
-    """Structural parameters of ``(u, A)`` used by the combinatorial route.
-
-    ``max_outside``   largest variable not in ``A`` (the localized top).
-    ``head_count``    elements of ``A`` below ``max_outside``; the rest of
-                      ``A`` is the consecutive run capping the ground set.
-    ``support_below`` generator indices not exceeding ``max_outside``.
-    ``initial_run``   length of the generator's leading run ``1, 2, ...``
-                      (``d`` when the whole generator is such a run).
-    """
-
-    max_outside: int
-    head_count: int
-    support_below: int
-    initial_run: int
-
-
-def membership_parameters(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> MembershipShape:
-    n = _require_contiguous(u, n)
-    if A.is_everything:
-        raise ValueError("no variable is left outside the full subset")
-    outside = A.complement
-    max_outside = outside[-1]
-    head_count = sum(1 for k in A.members if k < max_outside)
-    support_below = bisect_right(u.indices, max_outside)
-    run = 0
-    for pos, label in enumerate(u.indices):
-        if label != pos + 1:
-            break
-        run = pos + 1
-    return MembershipShape(max_outside, head_count, support_below, run)
-
-
-def _degenerate_membership(local: LocalizedGenerator) -> bool | None:
-    """Handle unit and one-variable localizations; None means not degenerate."""
-    if local.is_unit_ideal:
-        return False
-    if len(local.ground) == 1:
-        return local.indices == local.ground
-    return None
-
-
-def _member(local: LocalizedGenerator) -> bool:
-    special = _degenerate_membership(local)
-    if special is not None:
-        return special
-    ground = local.ground
-    return local.indices[0] > ground[0] and local.indices[-1] == ground[-1]
-
-
 def stable_membership_direct(
     u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
 ) -> bool:
-    """Membership of ``P_A`` in the stable set, via the localized generator."""
-    _require_contiguous(u, n)
-    return _member(localize_closed_form(u, A))
+    """Membership of ``P_A`` in the stable set: its index is finite."""
+    return lambda_of_prime(u, A, n) != INFINITE
 
 
 def stable_membership_combinatorial(
@@ -243,31 +188,39 @@ def stable_membership_combinatorial(
     """Membership of ``P_A`` in the stable set, without computing ``u_A``'s
     min and max directly.
 
-    Condition (i), min above the floor: the first ``initial_run`` elements
-    of ``A`` must be exactly ``1, 2, ...``.  Condition (ii), max reaching
-    the ceiling: the largest outside variable must itself be a support
-    index, and striking the head of ``A`` from the truncated generator
-    must preserve that top index, i.e. ``l(head-j) < support_below - j``
-    for ``j = 0 .. head-1`` where ``l`` is :func:`cover_positions`.
+    Condition (i), min above the floor: with ``run`` the length of the
+    generator's leading run ``1, 2, ...`` (``d`` when all of ``u`` is one),
+    the first ``run`` elements of ``A`` must be exactly ``1, 2, ...``.
+    Condition (ii), max reaching the ceiling: the largest outside variable
+    must itself be a support index, and striking the head of ``A`` (its
+    elements below that variable; the rest of ``A`` is the run capping the
+    ground set) from the truncated generator must preserve that top index,
+    i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
+    the support indices up to the top and ``l`` is :func:`cover_positions`.
     """
-    n = _require_contiguous(u, n)
+    _require_contiguous(u, n)
     local = localize_closed_form(u, A)
-    special = _degenerate_membership(local)
-    if special is not None:
-        return special
+    if local.is_unit_ideal:
+        return False
+    if len(local.ground) == 1:
+        return local.indices == local.ground
 
-    shape = membership_parameters(u, A, n)
-    run = shape.initial_run
+    run = 0
+    for pos, label in enumerate(u.indices):
+        if label != pos + 1:
+            break
+        run = pos + 1
     if run > A.size or A.members[:run] != tuple(range(1, run + 1)):
         return False
 
-    g = shape.support_below
-    if g == 0 or u.indices[g - 1] != shape.max_outside:
+    max_outside = A.complement[-1]
+    g = bisect_right(u.indices, max_outside)
+    if g == 0 or u.indices[g - 1] != max_outside:
         return False
+    head = sum(1 for k in A.members if k < max_outside)
     covers = cover_positions(A, u)
-    for j in range(shape.head_count):
-        t = shape.head_count - j  # 1-based position into the head of A
-        ell = covers[t - 1]
+    for j in range(head):
+        ell = covers[head - j - 1]
         if ell is None or ell >= g - j:
             return False
     return True
@@ -312,9 +265,9 @@ def stable_set_enumerate(
 ) -> list[StableSetEntry]:
     """Every subset ``A`` with membership verdicts and stability indices.
 
-    Subsets are listed by cardinality and then lexicographically.  Both
-    membership routes are evaluated and must agree; a finite index must
-    occur exactly on members.
+    Subsets are listed by cardinality and then lexicographically.  A
+    subset is a member exactly when its index is finite, and the
+    combinatorial route must agree with every such verdict.
     """
     n = _require_contiguous(u, n)
     if n > enumeration_bound:
@@ -325,26 +278,22 @@ def stable_set_enumerate(
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
             local = localize_closed_form(u, A)
-            direct = _member(local)
+            lam = _local_lambda(local)
+            member = lam != INFINITE
             combinatorial = stable_membership_combinatorial(u, A, n)
-            if direct != combinatorial:
+            if member != combinatorial:
                 raise AssertionError(
                     f"membership routes disagree at u={u}, A={combo}: "
-                    f"direct={direct}, combinatorial={combinatorial}"
+                    f"direct={member}, combinatorial={combinatorial}"
                 )
-            lam = _local_lambda(local)
-            if direct != (lam != INFINITE):
-                raise AssertionError(
-                    f"membership and finiteness disagree at u={u}, A={combo}"
-                )
-            if members_only and not direct:
+            if members_only and not member:
                 continue
             entries.append(
                 StableSetEntry(
                     subset=combo,
                     generator=local,
                     prime=A.complement,
-                    member=direct,
+                    member=member,
                     stability_index=lam,
                 )
             )
@@ -355,7 +304,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_BOUND",
     "INFINITE",
     "IntervalDecomposition",
-    "MembershipShape",
     "StableSetEntry",
     "cover_positions",
     "ever_associated",
@@ -364,7 +312,6 @@ __all__ = [
     "lambda_of_prime",
     "lambda_value_witness",
     "max_preserved",
-    "membership_parameters",
     "stable_membership_combinatorial",
     "stable_membership_direct",
     "stable_set_enumerate",

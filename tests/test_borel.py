@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelstab import (
-    BorelPrincipalIdeal,
     GroundSet,
     Monomial,
     NotPrincipalError,
@@ -220,9 +219,3 @@ class TestExtractBorelGenerator:
                 J = expand_squarefree(u)
                 assert extract_borel_generator(J, 1) == u.to_monomial()
 
-
-def test_borel_principal_ideal_wrapper(g3):
-    I = BorelPrincipalIdeal(mono(g3, x2=1, x3=1) ** 2, cap=2)
-    assert I.expansion() == closure_by_moves(I.generator, 2)
-    with pytest.raises(ValueError):
-        BorelPrincipalIdeal(mono(g3, x1=3), cap=2)

@@ -9,13 +9,15 @@ from borelstab import (
     VariableSubset,
     cover_positions,
     ever_associated,
+    expand_squarefree,
+    ideal_power,
     interval_decomposition,
     lambda_max_ideal,
     lambda_of_prime,
     lambda_value_witness,
     localize_closed_form,
+    m_in_ass,
     max_preserved,
-    membership_parameters,
     stable_membership_combinatorial,
     stable_membership_direct,
     stable_set_enumerate,
@@ -85,9 +87,13 @@ class TestEverAssociated:
         assert ever_associated(sf(g1, 1))
 
     def test_matches_lambda_finiteness(self):
+        # The oracle on I^{deg u}, built as a product: a finite lambda is at
+        # most deg u (criterion 3) and primes persist (criterion 10), so
+        # that one power decides whether m is ever associated.
         for n in range(1, 7):
             for u in all_squarefree(n):
-                assert ever_associated(u) == (lambda_max_ideal(u) != math.inf)
+                power = ideal_power(expand_squarefree(u), u.degree)
+                assert ever_associated(u) == m_in_ass(power), u
 
 
 class TestLambdaValueWitness:
@@ -172,27 +178,6 @@ class TestMaxPreserved:
                     loc = localize_closed_form(u, A)
                     direct = bool(loc.indices) and loc.indices[-1] == u.max_index
                     assert max_preserved(u, A) == direct, (u, members)
-
-
-class TestMembershipParameters:
-    def test_worked_shapes(self, g3, g5, worked_generator):
-        u = worked_generator
-        shape = membership_parameters(u, VariableSubset(g5, (1,)))
-        assert (shape.head_count, shape.max_outside) == (1, 5)
-        assert (shape.support_below, shape.initial_run) == (4, 1)
-        shape = membership_parameters(u, VariableSubset(g5, ()))
-        assert (shape.head_count, shape.max_outside, shape.support_below) == (0, 5, 4)
-        shape = membership_parameters(sf(g3, 2, 3), VariableSubset(g3, (1,)))
-        assert shape.initial_run == 0
-
-    def test_run_convention_without_jump(self):
-        g2 = GroundSet.contiguous(2)
-        shape = membership_parameters(sf(g2, 1, 2), VariableSubset(g2, (1,)))
-        assert shape.initial_run == 2  # no jump: the run is the whole degree
-
-    def test_full_subset_rejected(self, g3):
-        with pytest.raises(ValueError):
-            membership_parameters(sf(g3, 2, 3), VariableSubset(g3, (1, 2, 3)))
 
 
 class TestMembershipRoutes:
@@ -296,3 +281,11 @@ class TestStableSetEnumerate:
             assert e.generator == real(u, A)
             assert e.member == stable_membership_direct(u, A)
             assert e.stability_index == lambda_of_prime(u, A)
+
+    def test_referee_disagreement_raises(self, monkeypatch, g3):
+        # an explicit raise, not an assert, so it also holds under python -O
+        from borelstab import stability
+
+        monkeypatch.setattr(stability, "stable_membership_combinatorial", lambda u, A, n: False)
+        with pytest.raises(AssertionError, match="membership routes disagree"):
+            stable_set_enumerate(sf(g3, 2, 3))
