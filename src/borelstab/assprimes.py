@@ -12,13 +12,10 @@ ceiling) are alive at once.  Each socle cell ``w`` gives an irredundant
 irreducible component (Miller-Sturmfels, *Combinatorial Commutative
 Algebra*, ch. 5); its support is an associated prime and ``w`` is a colon
 witness for it.  Every reported prime ``P`` is certified by ``|P| + 1``
-membership tests on the generators, never on the bitset: for ``w <= b``,
-``J : w = P`` iff (a) each ``w * x_i`` with ``x_i`` in ``P`` is in ``J``,
-which is ``P <= J : w``, and (b) the cell ``v`` equal to ``w`` on ``P`` and
-to ``b`` off it is not, which is ``J : w <= P``: a monomial ``m`` off ``P``
-has ``m * w`` in ``J`` iff some generator ``g <= m + w``, and as ``g <= b``
-such an ``m`` exists iff ``v`` is in ``J``.  A failed certificate is a
-bug, not a data condition, and raises immediately.
+membership tests on a column table of the generator vectors, indexed by
+generator and never by box cell, so the certificate stays independent of
+the sweep (proof in :func:`associated_primes`).  A failed certificate is
+a bug, not a data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership)
@@ -34,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
 
 from .borel import expand_squarefree
 from .localization import VariableSubset, localize_by_saturation
@@ -43,7 +39,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
-    ideal_power,
+    _powers,
 )
 from .quotients import q_invariant
 from .stability import DEFAULT_ENUMERATION_BOUND, lambda_of_prime
@@ -173,16 +169,40 @@ def irreducible_decomposition(
     return tuple(out)
 
 
-def _contains(vectors, v) -> bool:
-    return any(all(map(le, g, v)) for g in vectors)
+def _columns(vectors, bounds):
+    """``columns[j][t]``: the bitset over generator indices of ``{g : g_j <= t}``
+    for ``t <= b_j + 1``, from one ``bytearray`` per value and cumulative ORs;
+    the entry past ``b_j`` (every generator) serves a cell raised off the box."""
+    size = (len(vectors) + 7) // 8
+    columns = []
+    for j, b in enumerate(bounds):
+        rows = [bytearray(size) for _ in range(b + 2)]
+        for index, g in enumerate(vectors):
+            rows[g[j]][index >> 3] |= 1 << (index & 7)
+        below, column = 0, []
+        for row in rows:
+            below |= int.from_bytes(row, "little")
+            column.append(below)
+        columns.append(column)
+    return columns
 
 
-def _colon_is_prime(vectors, bounds, w, p) -> bool:
+def _holds(columns, v) -> bool:
+    """Whether some generator lies below ``v``: ``AND_j columns[j][v_j] != 0``."""
+    common = -1
+    for column, e in zip(columns, v):
+        common &= column[e]
+        if not common:
+            return False
+    return True
+
+
+def _colon_is_prime(columns, bounds, w, p) -> bool:
     """Whether ``J : w = (x_i : i in p)``, ``p`` as positions, by tests (a)
-    and (b) of :func:`associated_primes` on the generator vectors."""
+    and (b) of :func:`associated_primes` on the column table of ``J``."""
     raised = (w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p)
     top = tuple(e if i in p else b for i, (e, b) in enumerate(zip(w, bounds)))
-    return all(_contains(vectors, v) for v in raised) and not _contains(vectors, top)
+    return all(_holds(columns, v) for v in raised) and not _holds(columns, top)
 
 
 def associated_primes(
@@ -197,6 +217,10 @@ def associated_primes(
     not.  Proof: (a) is ``P <= J : w``; a monomial ``m`` off ``P`` has
     ``m * w`` in ``J`` iff some generator ``g <= m + w``, and as ``g <= b``
     such an ``m`` exists iff ``v`` is in ``J``, so (b) is ``J : w <= P``.
+    Each membership test is ``n`` ANDs on the column table of the generator
+    vectors (:func:`_columns`): a cell ``v`` is in ``J`` iff
+    ``AND_j columns[j][v_j] != 0``.  The table is indexed by generator and
+    never by box cell, so it shares nothing with the sweep that found ``w``.
     With ``with_witnesses`` returns a dict ``prime -> witness``.
     """
     if J.is_zero or J.is_unit:
@@ -206,10 +230,11 @@ def associated_primes(
     cells: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in socle_cells:
         cells.setdefault(tuple(i for i, (e, b) in enumerate(zip(w, bounds)) if e < b), w)
+    columns = _columns(J.vectors, bounds)
     witnesses = {}
     for p in sorted(cells, key=lambda p: (len(p), p)):
         prime, w = tuple(ground.indices[i] for i in p), Monomial(ground, cells[p])
-        if not _colon_is_prime(J.vectors, bounds, w.vector, p):
+        if not _colon_is_prime(columns, bounds, w.vector, p):
             raise AssertionError(f"J : {w} is not {prime} in {J}: the socle sweep is buggy")
         witnesses[prime] = w
     return witnesses if with_witnesses else tuple(witnesses)
@@ -264,7 +289,7 @@ def ass_profile(
     bounds = _bounds(base)
     for k in range(1, kmax + 1):
         _cells([k * b for b in bounds], ceiling)
-    powers = [ideal_power(base, k) for k in range(1, kmax + 1)]
+    powers = _powers(base, kmax)
     per_power = []
     witnesses = []
     for J in powers:
@@ -379,12 +404,10 @@ def cross_validate(
 
             if prime:
                 localized = localize_by_saturation(base, A) if combo else base
+                local_powers = [] if localized.is_unit else _powers(localized, kmax)
                 for k in range(1, kmax + 1):
                     in_ass = prime in ass_sets[k - 1]
-                    if localized.is_unit:
-                        local_m = False
-                    else:
-                        local_m = m_in_ass(ideal_power(localized, k), ceiling)
+                    local_m = bool(local_powers) and m_in_ass(local_powers[k - 1], ceiling)
                     if in_ass != local_m:
                         _fail(
                             {

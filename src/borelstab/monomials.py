@@ -390,15 +390,22 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
 
-def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generators of J^k, from all k-fold products of generators."""
-    if k < 1:
+def _powers(J: MonomialIdeal, kmax: int) -> list[MonomialIdeal]:
+    """``[J, J^2, ..., J^kmax]``: ``J^k`` is the minimal sums ``a + b`` of a
+    generator ``a`` of ``J^(k-1)`` and a generator ``b`` of ``J``, so each
+    power costs one product step from the one before; ``J`` itself is kept."""
+    if kmax < 1:
         raise ValueError("power must be at least 1")
-    products = {
-        tuple(sum(col) for col in zip(*combo))
-        for combo in itertools.combinations_with_replacement(J.vectors, k)
-    }
-    return MonomialIdeal(J.ground, _minimal_vectors(products))
+    chain = [J]
+    for _ in range(kmax - 1):
+        sums = {tuple(map(add, a, b)) for a in chain[-1].vectors for b in J.vectors}
+        chain.append(MonomialIdeal(J.ground, _minimal_vectors(sums)))
+    return chain
+
+
+def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
+    """Minimal generators of J^k, the last power :func:`_powers` builds."""
+    return _powers(J, k)[-1]
 
 
 # --- shared text format ---------------------------------------------------

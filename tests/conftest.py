@@ -7,6 +7,7 @@ code paths so that tests compare two genuinely different routes.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -61,6 +62,41 @@ def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:
                     nxt.append(moved)
         frontier = nxt
     return MonomialIdeal(w.ground, tuple(seen))
+
+
+def power_by_all_products(J: MonomialIdeal, k: int) -> MonomialIdeal:
+    """J^k from every k-fold product of generators at once: the referee of
+    ``ideal_power``, which builds each power from the one before."""
+    products = {
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(J.vectors, k)
+    }
+    return minimalize([Monomial(J.ground, v) for v in products])
+
+
+def referee_corpus():
+    """Seeded random ideals over 1-4 variables with exponents up to 3,
+    some over the ground set {2, 5, 7} and some with a variable that no
+    generator uses (a box axis with b_i = 0), plus one of each by hand."""
+    g257 = GroundSet((2, 5, 7))
+    yield ideal(mono(GroundSet.contiguous(1), x1=3))
+    yield ideal(mono(g257, x2=2, x5=1), mono(g257, x5=3, x7=1), mono(g257, x7=2))
+    yield ideal(mono(GroundSet.contiguous(3), x1=2), mono(GroundSet.contiguous(3), x1=1, x3=1))
+    rng = random.Random(2013)
+    made = 0
+    while made < 150:
+        n = rng.randint(1, 4)
+        ground = g257 if n == 3 and rng.random() < 0.5 else GroundSet.contiguous(n)
+        unused = rng.randrange(n) if n > 1 and rng.random() < 0.25 else None
+        vecs = [
+            tuple(0 if pos == unused else rng.randint(0, 3) for pos in range(n))
+            for _ in range(rng.randint(1, 5))
+        ]
+        J = minimalize([Monomial(ground, v) for v in vecs if any(v)], ground=ground)
+        if J.is_zero or J.is_unit:
+            continue
+        made += 1
+        yield J
 
 
 def box_vectors(bounds):

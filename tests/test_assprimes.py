@@ -21,14 +21,24 @@ from borelstab import (
     ideal_power,
     irreducible_decomposition,
     lambda_of_prime,
+    lambda_value_witness,
     localize_by_saturation,
     m_in_ass,
     minimalize,
     persistence_scan,
+    power_generators,
     stable_set_enumerate,
 )
 from borelstab import assprimes
-from conftest import all_squarefree, all_subsets, box_vectors, ideal, mono, sf
+from conftest import (
+    all_squarefree,
+    all_subsets,
+    box_vectors,
+    ideal,
+    mono,
+    referee_corpus,
+    sf,
+)
 
 
 class TestIrreducibleDecomposition:
@@ -242,12 +252,20 @@ class TestCrossValidate:
             cross_validate(sf(g8, *idx), kmax=2)
         assert time.perf_counter() - start < 10
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.oracle_n8)]
+    )
     def test_exhaustive_full_depth(self, n):
         # kmax = astab(u) + 1, astab the largest finite lambda_A: the closed
         # form only picks how deep to look, cross_validate checks every power
-        # up to one past the last change with the oracle alone.  n = 6 takes
-        # about 2.7 s on a 2-core x86 VM, 5.4 s at half speed.
+        # up to one past the last change with the oracle alone.  On a 2-core
+        # x86 VM n = 6 takes about 1.8 s (3.6 s at half speed, budget 15 s)
+        # and n = 7 about 13 s (26 s at half speed, budget 45 s).  n = 8 is
+        # opt-in (``-m oracle_n8``): its largest box has about 4.3 x 10^7
+        # cells, so it needs ceiling=10**8; about 150 s (300 s at half
+        # speed, budget 600 s)
+        budget = {7: 45, 8: 600}.get(n, 15)
+        ceiling = 10**8 if n == 8 else assprimes.CELL_CEILING
         start = time.perf_counter()
         for u in all_squarefree(n):
             finite = [
@@ -256,10 +274,10 @@ class TestCrossValidate:
                 if (lam := lambda_of_prime(u, VariableSubset(u.ground, members), n))
                 != math.inf
             ]
-            report = cross_validate(u, kmax=max(finite) + 1)
+            report = cross_validate(u, kmax=max(finite) + 1, ceiling=ceiling)
             # every index was reached, so every one was checked for sharpness
             assert report.sharpness_checks == len(finite), u
-        assert time.perf_counter() - start < 15
+        assert time.perf_counter() - start < budget
 
     def test_worked_example_full_depth(self, worked_generator):
         report = cross_validate(worked_generator, kmax=3)
@@ -328,35 +346,10 @@ def test_decomposition_route_equals_colon_enumeration():
         checked += 1
 
 
-def _referee_corpus():
-    """Seeded random ideals over 1-4 variables with exponents up to 3,
-    some over the ground set {2, 5, 7} and some with a variable that no
-    generator uses (a box axis with b_i = 0), plus one of each by hand."""
-    g257 = GroundSet((2, 5, 7))
-    yield ideal(mono(GroundSet.contiguous(1), x1=3))
-    yield ideal(mono(g257, x2=2, x5=1), mono(g257, x5=3, x7=1), mono(g257, x7=2))
-    yield ideal(mono(GroundSet.contiguous(3), x1=2), mono(GroundSet.contiguous(3), x1=1, x3=1))
-    rng = random.Random(2013)
-    made = 0
-    while made < 150:
-        n = rng.randint(1, 4)
-        ground = g257 if n == 3 and rng.random() < 0.5 else GroundSet.contiguous(n)
-        unused = rng.randrange(n) if n > 1 and rng.random() < 0.25 else None
-        vecs = [
-            tuple(0 if pos == unused else rng.randint(0, 3) for pos in range(n))
-            for _ in range(rng.randint(1, 5))
-        ]
-        J = minimalize([Monomial(ground, v) for v in vecs if any(v)], ground=ground)
-        if J.is_zero or J.is_unit:
-            continue
-        made += 1
-        yield J
-
-
 def test_sweep_agrees_with_colon_referee():
     # the socle cells are the colon cells w with w_i = b_i off the prime
     seen = {"n=1": 0, "b_i=0": 0, "vars 2,5,7": 0}
-    for J in _referee_corpus():
+    for J in referee_corpus():
         ground = J.ground
         bounds = [max(column) for column in zip(*J.vectors)]
         colon_cells = list(_colon_cells(J))
@@ -392,16 +385,17 @@ def test_certificate_equals_colon_referee():
     # only (a) fails and where only (b) fails both occur, so neither test
     # can be dropped
     seen = {"prime": 0, "only (a) fails": 0, "only (b) fails": 0}
-    for J in _referee_corpus():
+    for J in referee_corpus():
         n = len(J.ground)
         bounds = [max(column) for column in zip(*J.vectors)]
         unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         position_sets = [p for r in range(n + 1) for p in itertools.combinations(range(n), r)]
+        columns = assprimes._columns(J.vectors, bounds)
         for w in box_vectors(bounds):
             got = set(colon(J, Monomial(J.ground, w)).vectors)
             for p in position_sets:
                 expected = got == {unit[i] for i in p}
-                assert assprimes._colon_is_prime(J.vectors, bounds, w, p) == expected, (J, w, p)
+                assert assprimes._colon_is_prime(columns, bounds, w, p) == expected, (J, w, p)
                 raised = [w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p]
                 top = tuple(e if i in p else c for i, (e, c) in enumerate(zip(w, bounds)))
                 holds_a = all(Monomial(J.ground, v) in J for v in raised)
@@ -410,6 +404,46 @@ def test_certificate_equals_colon_referee():
                 seen["only (a) fails"] += holds_b and not holds_a
                 seen["only (b) fails"] += holds_a and not holds_b
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def _scan_certificate(J, bounds, w, p):
+    """Tests (a) and (b) by a linear scan of the generators for each cell."""
+    raised = [w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p]
+    top = tuple(e if i in p else b for i, (e, b) in enumerate(zip(w, bounds)))
+    holds_a = all(Monomial(J.ground, v) in J for v in raised)
+    return holds_a and Monomial(J.ground, top) not in J
+
+
+def test_column_certificate_equals_generator_scan():
+    # the witness of every prime gets the same verdict from the column table
+    # as from scanning the generators, on the corpus and on the lambda-witness
+    # powers I^(i-1) and I^i with d <= 5 (up to 2,522 generators); on the
+    # corpus so does every one-step move of a witness inside the box, which
+    # the certificate must refuse or accept exactly as the scan does
+    witness_powers = [
+        power_generators(lambda_value_witness(d, i)[0], k)
+        for d in range(2, 6)
+        for i in range(2, d + 1)
+        for k in (i - 1, i)
+    ]
+    cases = [(J, True) for J in referee_corpus()] + [(J, False) for J in witness_powers]
+    verdicts = {True: 0, False: 0}
+    for J, with_moves in cases:
+        bounds = [max(column) for column in zip(*J.vectors)]
+        columns = assprimes._columns(J.vectors, bounds)
+        for prime, witness in associated_primes(J, with_witnesses=True).items():
+            w, p = witness.vector, tuple(J.ground.position(i) for i in prime)
+            moves = [
+                w[:j] + (e + step,) + w[j + 1 :]
+                for j, (e, b) in enumerate(zip(w, bounds))
+                for step in (1, -1)
+                if with_moves and 0 <= e + step <= b
+            ]
+            for v in (w, *moves):
+                verdict = assprimes._colon_is_prime(columns, bounds, v, p)
+                assert verdict == _scan_certificate(J, bounds, v, p), (J, v, p)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
@@ -460,7 +494,7 @@ def test_over_ceiling_power_refused_before_any_work(scan, monkeypatch):
 
         return wrapper
 
-    for name in ("_socle", "ideal_power"):
+    for name in ("_socle", "_powers"):
         monkeypatch.setattr(assprimes, name, counting(name))
     with pytest.raises(ResourceLimitError, match="729 box cells"):
         scan(sf(GroundSet.contiguous(6), 6), kmax=2, ceiling=100)

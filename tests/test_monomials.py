@@ -26,7 +26,15 @@ from borelstab import (
     radical,
     saturate,
 )
-from conftest import all_squarefree, brute_colon_members, ideal, mono, sf
+from conftest import (
+    all_squarefree,
+    brute_colon_members,
+    ideal,
+    mono,
+    power_by_all_products,
+    referee_corpus,
+    sf,
+)
 
 
 class TestGroundSet:
@@ -230,6 +238,21 @@ class TestIdealPower:
                     for a in bigger.generators
                     for b in J.generators
                 )
+
+    def test_equals_all_products_referee(self):
+        # J^k built from J^(k-1) equals all k-fold products at once, on the
+        # seeded corpus and on every expansion with n <= 6
+        expansions = [expand_squarefree(u) for n in range(1, 7) for u in all_squarefree(n)]
+        for J in [*referee_corpus(), *expansions]:
+            for k in (1, 2, 3, 4):
+                assert ideal_power(J, k) == power_by_all_products(J, k), (J, k)
+
+    def test_first_power_is_the_ideal_and_lower_are_refused(self, g3):
+        J = ideal(mono(g3, x1=1, x2=1), mono(g3, x3=2))
+        assert ideal_power(J, 1) is J
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                ideal_power(J, k)
 
 
 class TestLexOrder:
