@@ -49,7 +49,6 @@ from .monomials import (
     divides,
     format_monomial,
     ideal_power,
-    lex_compare,
     lex_key,
     minimalize,
     parse_ground,
@@ -62,7 +61,6 @@ from .quotients import (
     QuotientProfile,
     depth_power,
     depth_zero_witness,
-    linear_quotient_set,
     max_ideal_in_ass,
     q_invariant,
     quotient_profile,
@@ -77,9 +75,7 @@ from .stability import (
     lambda_max_ideal,
     lambda_of_prime,
     lambda_value_witness,
-    max_preserved,
     stable_membership_combinatorial,
-    stable_membership_direct,
     stable_set_enumerate,
 )
 

@@ -278,6 +278,11 @@ def ass_profile(
     ceiling: int = CELL_CEILING,
 ) -> AssProfile:
     """Associated primes of I, I^2, ..., I^kmax for the expansion of ``u``."""
+    return _profile_and_powers(u, n, kmax, ceiling)[0]
+
+
+def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling: int):
+    """:func:`ass_profile` and the chain ``[I, ..., I^kmax]`` it scanned."""
     if n is None:
         n = len(u.ground)
     elif n != len(u.ground):
@@ -302,7 +307,7 @@ def ass_profile(
             stable_from = k
         else:
             break
-    return AssProfile(
+    profile = AssProfile(
         u=u,
         n=n,
         kmax=kmax,
@@ -310,6 +315,7 @@ def ass_profile(
         witnesses_by_power=tuple(witnesses),
         stable_from=stable_from,
     )
+    return profile, powers
 
 
 @dataclass(frozen=True)
@@ -381,8 +387,8 @@ def cross_validate(
         n = len(u.ground)
     if n > enumeration_bound:
         raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
-    profile = ass_profile(u, n, kmax, ceiling)
-    base = expand_squarefree(u)
+    profile, powers = _profile_and_powers(u, n, kmax, ceiling)
+    base = powers[0]
     ass_sets = [set(profile.primes_at(k)) for k in range(1, kmax + 1)]
     labels = u.ground.indices
 
@@ -403,8 +409,11 @@ def cross_validate(
             prime = A.complement
 
             if prime:
-                localized = localize_by_saturation(base, A) if combo else base
-                local_powers = [] if localized.is_unit else _powers(localized, kmax)
+                if combo:
+                    localized = localize_by_saturation(base, A)
+                    local_powers = [] if localized.is_unit else _powers(localized, kmax)
+                else:
+                    local_powers = powers
                 for k in range(1, kmax + 1):
                     in_ass = prime in ass_sets[k - 1]
                     local_m = bool(local_powers) and m_in_ass(local_powers[k - 1], ceiling)

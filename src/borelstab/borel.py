@@ -16,6 +16,22 @@ the first position where they differ and ``j`` the first after ``i`` with
 to ``i`` is a capped exchange whose result ``v`` still dominates, with a
 smaller total prefix gap.  Induction on that gap reaches ``v``.
 
+The walk builds that set from the last position back, as a table of
+suffix lists keyed by ``(position i, prefix sum s before it)``.  With
+``W_i`` the prefix sum of ``w`` through position ``i`` and ``D = deg w``,
+the entry ``e`` at ``i`` runs from ``min(c, D - s)`` down to
+``max(0, W_i - s)``, and the row of ``(i, s)`` is ``(e,) + t`` for each
+such ``e`` and each suffix ``t`` in the row of ``(i + 1, s + e)``.  Past
+the last position the only row is that of ``D``: the empty suffix.  The
+table holds the sums ``s`` in ``[W_(i-1), min(D, c * i)]``, exactly those
+a valid prefix of length ``i`` can reach (fill it up to ``c`` per entry
+until the sum is ``s``).  No such row is empty: filling each later
+position up to ``min(c, D - s)`` keeps every prefix sum at least
+``min(s + c, D)``, which meets the next bound because the entries of
+``w`` are at most ``c``, and it ends at ``D``.  So every suffix built is
+used, each row is in decreasing lex order, and a suffix is built once
+for all the prefixes that reach its state.
+
 The breadth-first closure over :func:`borel_moves` is the definitional
 route; the tests keep it as the walk's referee.
 """
@@ -48,25 +64,21 @@ def _power_vector(u: SquarefreeMonomial, k: int) -> tuple[int, ...]:
 
 def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     """The cap closure of ``w``, whose entries must not exceed ``cap``, in
-    decreasing lex order, by a depth-first walk over the prefix bound.
-
-    After a prefix with sum ``s``, the next entry runs from ``max(0, W - s)``
-    to ``min(cap, deg w - s)``, ``W`` being ``w``'s prefix sum there.  Filling
-    later positions up to the cap meets every later bound, so no branch is
-    dead.  The stack is explicit, so no recursion limit caps the ground set.
-    """
+    decreasing lex order, from the suffix table of the module docstring."""
     bounds = list(accumulate(w))
     degree = bounds[-1]
-    gens: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    while stack:
-        prefix, s = stack.pop()
-        if s == degree:
-            gens.append(prefix + (0,) * (len(w) - len(prefix)))
-            continue
-        low, high = max(0, bounds[len(prefix)] - s), min(cap, degree - s)
-        stack.extend((prefix + (e,), s + e) for e in range(low, high + 1))
-    return gens
+    tails = {degree: [()]}
+    for i in range(len(w) - 1, -1, -1):
+        floor = bounds[i - 1] if i else 0
+        tails = {
+            s: [
+                (e,) + t
+                for e in range(min(cap, degree - s), max(0, bounds[i] - s) - 1, -1)
+                for t in tails[s + e]
+            ]
+            for s in range(floor, min(degree, cap * i) + 1)
+        }
+    return tails[0]
 
 
 def borel_moves(vec: tuple[int, ...], cap: int):

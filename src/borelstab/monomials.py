@@ -266,13 +266,6 @@ def lex_key(w: Monomial) -> tuple[int, ...]:
     return w.vector
 
 
-def lex_compare(w1: Monomial, w2: Monomial) -> int:
-    """-1, 0 or 1 as ``w1`` is lex-smaller, equal, or lex-greater."""
-    _check_same_ground(w1, w2)
-    a, b = lex_key(w1), lex_key(w2)
-    return (a > b) - (a < b)
-
-
 def radical(w: Monomial) -> SquarefreeMonomial:
     """The product of the support variables of a non-unit monomial."""
     if w.is_unit:
@@ -288,27 +281,21 @@ class MonomialIdeal:
     reads; ``generators`` is a read-only :class:`Monomial` view, built on
     first use.  The constructor takes each generator as a ``Monomial`` over
     ``ground`` or as a vector of the right length with no negative entry.
-    The zero ideal has no generators, the unit ideal the zero vector.  A
-    repeated generator, or one another divides, is rejected by the rule
-    :func:`minimalize` applies (:func:`_minimal_vectors`).
+    The zero ideal has no generators, the unit ideal the zero vector.
+
+    Every ideal makes one pass, :func:`_ideal_vectors`: the generators are
+    checked and :func:`_minimal_vectors` runs once.  A caller's own list
+    must already be minimal, and a repeated generator, or one another
+    divides, is rejected.  The kernels (:func:`minimalize`, :func:`colon`,
+    :func:`saturate`, :func:`_powers`) hand their raw vectors to the same
+    pass as an :class:`_Unreduced` list, whose redundant vectors it drops.
     """
 
     ground: GroundSet
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        vecs = []
-        for g in self.vectors:
-            if isinstance(g, Monomial) and g.ground != self.ground:
-                raise GroundSetMismatch("generator over a different ground set")
-            vecs.append(_checked_vector(self.ground, g.vector if isinstance(g, Monomial) else g))
-        vecs.sort(reverse=True)
-        object.__setattr__(self, "vectors", tuple(vecs))
-        redundant = len(vecs) - len(_minimal_vectors(vecs))
-        if redundant:
-            raise ValueError(
-                f"non-minimal generating set: {redundant} of {len(vecs)} generators redundant"
-            )
+        object.__setattr__(self, "vectors", _ideal_vectors(self.ground, self.vectors))
 
     @cached_property
     def generators(self) -> tuple[Monomial, ...]:
@@ -338,19 +325,52 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def _minimal_vectors(vecs) -> list[tuple[int, ...]]:
-    """The distinct vectors with no other vector coordinatewise below them,
-    sorted by ``(degree, vector)``: the package's one minimality rule.
+class _Unreduced(list):
+    """Raw generator vectors from a kernel, which may repeat or divide one
+    another: :class:`MonomialIdeal` drops the redundant ones instead of
+    refusing the list."""
 
-    Only a vector of strictly lower degree can lie below a different one, so
-    each degree group is compared only with the lower-degree vectors kept;
-    a set in one degree, such as any power of an expansion, costs one sort.
+
+def _checked_generator(ground: GroundSet, g) -> tuple[int, ...]:
+    if isinstance(g, Monomial):
+        if g.ground != ground:
+            raise GroundSetMismatch("generator over a different ground set")
+        return g.vector
+    return _checked_vector(ground, g)
+
+
+def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
+    """The one pass of every :class:`MonomialIdeal`: check each generator,
+    then run :func:`_minimal_vectors` once.  Only an :class:`_Unreduced`
+    list may shrink; any other list must already be minimal."""
+    vecs = [_checked_generator(ground, g) for g in gens]
+    kept = _minimal_vectors(vecs)
+    redundant = len(vecs) - len(kept)
+    if redundant and not isinstance(gens, _Unreduced):
+        raise ValueError(
+            f"non-minimal generating set: {redundant} of {len(vecs)} generators redundant"
+        )
+    return tuple(kept)
+
+
+def _minimal_vectors(vecs: list) -> list[tuple[int, ...]]:
+    """The distinct vectors of ``vecs`` with no other one coordinatewise
+    below them, in decreasing lex order: the package's one minimality rule,
+    which each ideal runs once, through :func:`_ideal_vectors`.
+
+    Only a vector of strictly lower degree can lie below a different one.
+    So vectors that share one degree, such as any power of an expansion,
+    are all minimal and cost a set plus one sort; otherwise each degree
+    group is compared only with the lower-degree vectors kept.
     """
-    ordered = sorted(set(vecs), key=lambda v: (sum(v), v))
+    distinct = set(vecs)
+    ordered = sorted(vecs if len(distinct) == len(vecs) else distinct, reverse=True)
+    if len(set(map(sum, ordered))) <= 1:
+        return ordered
     kept: list[tuple[int, ...]] = []
-    for _, group in itertools.groupby(ordered, key=sum):
+    for _, group in itertools.groupby(sorted(ordered, key=sum), key=sum):
         kept.extend([v for v in group if not any(all(map(le, k, v)) for k in kept)])
-    return kept
+    return sorted(kept, reverse=True)
 
 
 def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
@@ -366,7 +386,7 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
         ground = gens[0].ground
     if any(g.ground != ground for g in gens):
         raise GroundSetMismatch("generators over different ground sets")
-    return MonomialIdeal(ground, _minimal_vectors(g.vector for g in gens))
+    return MonomialIdeal(ground, _Unreduced(gens))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -374,7 +394,7 @@ def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     if w.ground != J.ground:
         raise GroundSetMismatch("colon divisor over a different ground set")
     cut = [tuple(max(x - e, 0) for x, e in zip(g, w.vector)) for g in J.vectors]
-    return MonomialIdeal(J.ground, _minimal_vectors(cut))
+    return MonomialIdeal(J.ground, _Unreduced(cut))
 
 
 def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -387,7 +407,7 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     if w.ground != J.ground:
         raise GroundSetMismatch("saturating monomial over a different ground set")
     cut = [tuple(0 if e else x for x, e in zip(g, w.vector)) for g in J.vectors]
-    return MonomialIdeal(J.ground, _minimal_vectors(cut))
+    return MonomialIdeal(J.ground, _Unreduced(cut))
 
 
 def _powers(J: MonomialIdeal, kmax: int) -> list[MonomialIdeal]:
@@ -399,7 +419,7 @@ def _powers(J: MonomialIdeal, kmax: int) -> list[MonomialIdeal]:
     chain = [J]
     for _ in range(kmax - 1):
         sums = {tuple(map(add, a, b)) for a in chain[-1].vectors for b in J.vectors}
-        chain.append(MonomialIdeal(J.ground, _minimal_vectors(sums)))
+        chain.append(MonomialIdeal(J.ground, _Unreduced(sums)))
     return chain
 
 

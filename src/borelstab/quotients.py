@@ -10,39 +10,24 @@ The largest such variable count is ``q``; the depth of the quotient ring
 is then ``n - q - 1``, and the maximal ideal is associated exactly when
 ``q = n - 1``.  The formula's validity domain is exactly this generator
 class, so the entry points here construct the generator list themselves
-from a squarefree generator; the raw positional form validates its
-ordering precondition and nothing more.
+from a squarefree generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .borel import is_power_generator, power_generators
-from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial, lex_key
+from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
 
 
 def _colon_variables(labels, vec, cap: int) -> frozenset[int]:
-    top = max(j for j, e in zip(labels, vec) if e)
-    return frozenset(j for j, e in zip(labels, vec) if j < top and e != cap)
-
-
-def linear_quotient_set(gens: Sequence[Monomial], i: int, cap: int) -> frozenset[int]:
-    """Variables generating ``(u_1,...,u_{i-1}) : u_i`` (1-based ``i``).
-
-    ``gens`` must be strictly decreasing in lex order and is expected to
-    be the full generator list of a power of a squarefree principal Borel
-    ideal; outside that class use the brute-force colon instead.
-    """
-    if not 1 <= i <= len(gens):
-        raise ValueError(f"position {i} out of range 1..{len(gens)}")
-    keys = [lex_key(g) for g in gens]
-    if any(a <= b for a, b in zip(keys, keys[1:])):
-        raise ValueError("generators not sorted in strictly decreasing lex order")
-    if i == 1:
-        return frozenset()
-    return _colon_variables(gens[i - 1].ground.indices, gens[i - 1].vector, cap)
+    """The labels before the last one in the support of ``vec`` whose
+    exponent is not ``cap``."""
+    top = len(vec) - 1
+    while not vec[top]:
+        top -= 1
+    return frozenset([labels[j] for j in range(top) if vec[j] != cap])
 
 
 @dataclass(frozen=True)
@@ -137,7 +122,6 @@ __all__ = [
     "QuotientProfile",
     "depth_power",
     "depth_zero_witness",
-    "linear_quotient_set",
     "max_ideal_in_ass",
     "q_invariant",
     "quotient_profile",

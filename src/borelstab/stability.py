@@ -151,37 +151,6 @@ def cover_positions(A: VariableSubset, u: SquarefreeMonomial) -> tuple[int | Non
     return tuple(out)
 
 
-def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:
-    """Does localizing at ``A`` keep the top support index of ``u``?
-
-    Evaluated combinatorially when every element of ``A`` stays within the
-    support range (``k_s <= i_d``): the maximum drops exactly when
-    ``k_{s-j} > i_{d-j-1}`` for some ``j >= 0`` (indices at or below zero
-    count as 0).  Falls back to the closed form otherwise.
-    """
-    if not A.members:
-        return True
-    ks = A.members
-    idx = u.indices
-    if ks[-1] > idx[-1]:
-        local = localize_closed_form(u, A)
-        return bool(local.indices) and local.indices[-1] == idx[-1]
-    s, d = len(ks), len(idx)
-    for j in range(s):
-        below = d - j - 1
-        threshold = idx[below - 1] if below >= 1 else 0
-        if ks[s - j - 1] > threshold:
-            return False
-    return True
-
-
-def stable_membership_direct(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> bool:
-    """Membership of ``P_A`` in the stable set: its index is finite."""
-    return lambda_of_prime(u, A, n) != INFINITE
-
-
 def stable_membership_combinatorial(
     u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
 ) -> bool:
@@ -311,8 +280,6 @@ __all__ = [
     "lambda_max_ideal",
     "lambda_of_prime",
     "lambda_value_witness",
-    "max_preserved",
     "stable_membership_combinatorial",
-    "stable_membership_direct",
     "stable_set_enumerate",
 ]

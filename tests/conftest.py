@@ -12,13 +12,20 @@ import random
 import pytest
 
 from borelstab import (
+    INFINITE,
     GroundSet,
+    GroundSetMismatch,
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
+    VariableSubset,
+    lambda_of_prime,
+    lex_key,
+    localize_closed_form,
     minimalize,
 )
 from borelstab.borel import borel_moves
+from borelstab.quotients import _colon_variables
 
 
 def sf(ground: GroundSet, *indices: int) -> SquarefreeMonomial:
@@ -46,6 +53,60 @@ def all_squarefree(n: int):
 def all_subsets(n: int):
     for size in range(n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def lex_compare(w1: Monomial, w2: Monomial) -> int:
+    """-1, 0 or 1 as ``w1`` is lex-smaller, equal, or lex-greater."""
+    if w1.ground != w2.ground:
+        raise GroundSetMismatch(f"ground sets differ: {w1.ground} vs {w2.ground}")
+    a, b = lex_key(w1), lex_key(w2)
+    return (a > b) - (a < b)
+
+
+def linear_quotient_set(gens, i: int, cap: int) -> frozenset[int]:
+    """Variables generating ``(u_1,...,u_{i-1}) : u_i`` (1-based ``i``) by
+    the library's colon-variable formula, for a list ``gens`` that must be
+    strictly decreasing in lex order: the positional form that the tests
+    hold against brute-force colons."""
+    if not 1 <= i <= len(gens):
+        raise ValueError(f"position {i} out of range 1..{len(gens)}")
+    keys = [lex_key(g) for g in gens]
+    if any(a <= b for a, b in zip(keys, keys[1:])):
+        raise ValueError("generators not sorted in strictly decreasing lex order")
+    if i == 1:
+        return frozenset()
+    return _colon_variables(gens[i - 1].ground.indices, gens[i - 1].vector, cap)
+
+
+def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:
+    """Does localizing at ``A`` keep the top support index of ``u``?
+
+    Evaluated combinatorially when every element of ``A`` stays within the
+    support range (``k_s <= i_d``): the maximum drops exactly when
+    ``k_{s-j} > i_{d-j-1}`` for some ``j >= 0`` (indices at or below zero
+    count as 0).  Falls back to the closed form otherwise.
+    """
+    if not A.members:
+        return True
+    ks = A.members
+    idx = u.indices
+    if ks[-1] > idx[-1]:
+        local = localize_closed_form(u, A)
+        return bool(local.indices) and local.indices[-1] == idx[-1]
+    s, d = len(ks), len(idx)
+    for j in range(s):
+        below = d - j - 1
+        threshold = idx[below - 1] if below >= 1 else 0
+        if ks[s - j - 1] > threshold:
+            return False
+    return True
+
+
+def stable_membership_direct(
+    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
+) -> bool:
+    """Membership of ``P_A`` in the stable set: its index is finite."""
+    return lambda_of_prime(u, A, n) != INFINITE
 
 
 def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:

@@ -31,22 +31,27 @@ from borelstab import (
     lambda_max_ideal,
     lambda_of_prime,
     lambda_value_witness,
-    linear_quotient_set,
     localize_by_saturation,
     localize_closed_form,
     max_ideal_in_ass,
-    max_preserved,
     m_in_ass,
     minimalize,
     persistence_scan,
     power_generators,
     saturate,
     stable_membership_combinatorial,
-    stable_membership_direct,
     stable_set_enumerate,
 )
 from borelstab.cli import run
-from conftest import WORKED_TABLE, all_squarefree, all_subsets, closure_by_moves
+from conftest import (
+    WORKED_TABLE,
+    all_squarefree,
+    all_subsets,
+    closure_by_moves,
+    linear_quotient_set,
+    max_preserved,
+    stable_membership_direct,
+)
 
 
 class _Criterion:

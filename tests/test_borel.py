@@ -19,6 +19,7 @@ from borelstab import (
     is_strongly_stable,
     power_generators,
 )
+from borelstab.borel import _dominating_vectors
 from conftest import all_squarefree, closure_by_moves, ideal, mono, sf
 
 
@@ -89,7 +90,12 @@ class TestBorelClosure:
                 for vec in itertools.product(range(cap + 1), repeat=len(g)):
                     if 1 <= sum(vec) <= 8:
                         w = Monomial(g, vec)
-                        assert borel_closure(w, cap) == closure_by_moves(w, cap), (g, vec, cap)
+                        expected = closure_by_moves(w, cap)
+                        assert borel_closure(w, cap) == expected, (g, vec, cap)
+                        # the walk's own list, before any ideal sorts it
+                        walked = _dominating_vectors(vec, cap)
+                        assert all(a > b for a, b in itertools.pairwise(walked)), (vec, cap)
+                        assert walked == list(expected.vectors), (g, vec, cap)
                         count += 1
         assert count == 1470
 

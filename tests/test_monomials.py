@@ -17,7 +17,6 @@ from borelstab import (
     expand_squarefree,
     format_monomial,
     ideal_power,
-    lex_compare,
     lex_key,
     minimalize,
     parse_ground,
@@ -30,6 +29,7 @@ from conftest import (
     all_squarefree,
     brute_colon_members,
     ideal,
+    lex_compare,
     mono,
     power_by_all_products,
     referee_corpus,

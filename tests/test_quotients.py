@@ -10,7 +10,6 @@ from borelstab import (
     depth_zero_witness,
     expand_squarefree,
     ideal_power,
-    linear_quotient_set,
     max_ideal_in_ass,
     m_in_ass,
     minimalize,
@@ -18,7 +17,8 @@ from borelstab import (
     q_invariant,
     quotient_profile,
 )
-from conftest import all_squarefree, closure_by_moves, mono, sf
+from borelstab.quotients import _colon_variables
+from conftest import all_squarefree, closure_by_moves, linear_quotient_set, mono, sf
 
 
 class TestLinearQuotientSet:
@@ -168,3 +168,32 @@ def test_colon_formula_vs_brute_force_small():
                     brute = colon(minimalize(gens[: i - 1]), gens[i - 1])
                     assert all(m.degree == 1 for m in brute.generators)
                     assert {m.support[0] for m in brute.generators} == set(fast)
+
+
+def _colon_variables_by_max(labels, vec, cap):
+    """The colon-variable formula as first written: every label below the
+    largest one in the support whose exponent is not the cap."""
+    top = max(j for j, e in zip(labels, vec) if e)
+    return frozenset(j for j, e in zip(labels, vec) if j < top and e != cap)
+
+
+def test_colon_variables_equal_max_formula():
+    checked = witnesses = 0
+    for n in range(1, 8):
+        for u in all_squarefree(n):
+            labels = u.ground.indices
+            for k in (1, 2, 3):
+                for vec in power_generators(u, k).vectors:
+                    assert _colon_variables(labels, vec, k) == _colon_variables_by_max(
+                        labels, vec, k
+                    ), (u, k, vec)
+                    checked += 1
+            if u.min_index <= 1 or u.max_index != n:
+                continue
+            for k in range(u.degree, 6):
+                vec = depth_zero_witness(u, k).vector
+                assert _colon_variables(labels, vec, k) == _colon_variables_by_max(
+                    labels, vec, k
+                ), (u, k)
+                witnesses += 1
+    assert checked == 60942 and witnesses == 186, (checked, witnesses)

@@ -17,12 +17,17 @@ from borelstab import (
     lambda_value_witness,
     localize_closed_form,
     m_in_ass,
-    max_preserved,
     stable_membership_combinatorial,
-    stable_membership_direct,
     stable_set_enumerate,
 )
-from conftest import WORKED_TABLE, all_squarefree, all_subsets, sf
+from conftest import (
+    WORKED_TABLE,
+    all_squarefree,
+    all_subsets,
+    max_preserved,
+    sf,
+    stable_membership_direct,
+)
 
 
 class TestIntervalDecomposition:
