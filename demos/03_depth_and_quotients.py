@@ -11,9 +11,7 @@ when the depth is zero.
 from borelstab import (
     GroundSet,
     SquarefreeMonomial,
-    depth_power,
     depth_zero_witness,
-    max_ideal_in_ass,
     power_generators,
     quotient_profile,
 )
@@ -34,10 +32,10 @@ for k in (1, 2):
 print("depth is non-increasing along powers:")
 g4 = GroundSet.contiguous(4)
 v = SquarefreeMonomial(g4, (2, 4))
-print("  u =", v, " depths:", [depth_power(v, k) for k in (1, 2, 3)])
+print("  u =", v, " depths:", [quotient_profile(v, k).depth for k in (1, 2, 3)])
 
 print()
 print("once k exceeds deg(u) - 1, an explicit generator certifies depth zero:")
 w = depth_zero_witness(u, 2)
 print(f"  witness for u = {u}, k = 2:", w)
-print("  maximal ideal associated at k = 2:", max_ideal_in_ass(u, 2))
+print("  maximal ideal associated at k = 2:", quotient_profile(u, 2).m_in_ass)

@@ -33,7 +33,6 @@ from .borel import (
 from .localization import (
     LocalizedGenerator,
     VariableSubset,
-    compose_localizations_check,
     localize_by_saturation,
     localize_closed_form,
     localized_expansion,
@@ -46,23 +45,15 @@ from .monomials import (
     MonomialIdeal,
     SquarefreeMonomial,
     colon,
-    divides,
-    format_monomial,
     ideal_power,
-    lex_key,
     minimalize,
-    parse_ground,
     parse_monomial,
     parse_squarefree,
-    radical,
     saturate,
 )
 from .quotients import (
     QuotientProfile,
-    depth_power,
     depth_zero_witness,
-    max_ideal_in_ass,
-    q_invariant,
     quotient_profile,
 )
 from .stability import (

@@ -24,6 +24,11 @@ and fails hard with a minimal reproducer on any disagreement.
 Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)
 instead of running unbounded.
+
+:func:`irreducible_decomposition` and :class:`IrreducibleComponent` have
+no caller in the package.  They stay because the benchmark under
+``bench/`` traces the decomposition for its box-cell and component
+counts, and the tests check the socle sweep through it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .monomials import (
     SquarefreeMonomial,
     _powers,
 )
-from .quotients import q_invariant
+from .quotients import quotient_profile
 from .stability import DEFAULT_ENUMERATION_BOUND, lambda_of_prime
 
 CELL_CEILING = 10_000_000
@@ -394,7 +399,7 @@ def cross_validate(
 
     depth_checks = 0
     for k in range(1, kmax + 1):
-        formula = q_invariant(u, k, n) == n - 1
+        formula = quotient_profile(u, k, n).q == n - 1
         oracle = labels in ass_sets[k - 1]
         if formula != oracle:
             _fail({"check": "depth", "u": str(u), "k": k, "formula": formula, "oracle": oracle})

@@ -34,6 +34,10 @@ for all the prefixes that reach its state.
 
 The breadth-first closure over :func:`borel_moves` is the definitional
 route; the tests keep it as the walk's referee.
+
+:func:`is_strongly_stable` and :func:`extract_borel_generator` have no
+caller in the package.  They stay as the definitional check of strong
+stability and the recognition of a principal Borel ideal.
 """
 
 from __future__ import annotations
@@ -54,12 +58,6 @@ class NotPrincipalError(ValueError):
 
 def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
     return any(e > cap for e in vec if e)
-
-
-def _power_vector(u: SquarefreeMonomial, k: int) -> tuple[int, ...]:
-    """The exponent vector of ``u^k``, built without a ``Monomial``."""
-    support = set(u.indices)
-    return tuple(k if i in support else 0 for i in u.ground)
 
 
 def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
@@ -109,7 +107,7 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     Borel generator ``u = x_{i_1} ... x_{i_d}``, its cap-1 closure: every
     ``x_{j_1} ... x_{j_d}`` with ``j_1 < ... < j_d`` in the ground set and
     ``j_t <= i_t`` for every ``t``."""
-    return MonomialIdeal(u.ground, _dominating_vectors(_power_vector(u, 1), 1))
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power(1).vector, 1))
 
 
 def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
@@ -122,7 +120,7 @@ def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
     if _over_cap(w.vector, k):
         raise ValueError(f"exponent above cap {k} in {w}")
-    return all(map(ge, accumulate(w.vector), accumulate(_power_vector(u, k))))
+    return all(map(ge, accumulate(w.vector), accumulate(u.power(k).vector)))
 
 
 def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
@@ -131,7 +129,7 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
     ``ideal_power(expand_squarefree(u), k)``."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return MonomialIdeal(u.ground, _dominating_vectors(_power_vector(u, k), k))
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power(k).vector, k))
 
 
 def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:

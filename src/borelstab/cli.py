@@ -69,7 +69,7 @@ def _lambda_str(value) -> str:
 
 
 def _ground_from_args(args) -> GroundSet:
-    if getattr(args, "vars", None):
+    if args.vars:
         try:
             return GroundSet(tuple(int(p) for p in args.vars.split(",")))
         except ValueError as exc:
@@ -194,10 +194,10 @@ def _cmd_ever_associated(args, out) -> int:
 def _entries_for_output(u, args):
     entries = stability.stable_set_enumerate(
         u,
-        members_only=not getattr(args, "all", False),
+        members_only=not args.all,
         enumeration_bound=args.max_n,
     )
-    if getattr(args, "paper_order", False):
+    if args.paper_order:
         entries = sorted(entries, key=lambda e: (-len(e.subset), e.subset))
     return entries
 

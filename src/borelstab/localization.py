@@ -19,13 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .borel import expand_squarefree
-from .monomials import (
-    GroundSet,
-    Monomial,
-    MonomialIdeal,
-    SquarefreeMonomial,
-    saturate,
-)
+from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,6 @@ class VariableSubset:
     @property
     def is_everything(self) -> bool:
         return len(self.members) == len(self.ambient)
-
-    def product(self) -> Monomial:
-        members = set(self.members)
-        return Monomial(self.ambient, tuple(int(i in members) for i in self.ambient))
 
     def __str__(self) -> str:
         return "A=" + ",".join(str(i) for i in self.members)
@@ -140,9 +130,12 @@ def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> LocalizedG
 def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal:
     """Localization of any monomial ideal at ``P_A``, via saturation.
 
-    Saturates ``J`` by the product of the ``A``-variables and re-houses
-    the result on the complement ground set.  No saturated generator may
-    involve an ``A``-variable; a violation signals an implementation bug.
+    The saturation of ``J`` by the product of the ``A``-variables is
+    generated by the generators of ``J`` with their ``A``-exponents set
+    to zero, so re-housing it on the complement ground set is the
+    projection of each generator onto the complement positions.  The
+    projections can divide one another, so the ideal's one minimality
+    pass drops the redundant ones.
     """
     if A.ambient != J.ground:
         raise ValueError("subset over a different ground set")
@@ -150,13 +143,9 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
         return J
     if A.is_everything:
         raise ValueError("localizing at every variable leaves no ambient ring")
-    sat = saturate(J, A.product())
     new_ground = J.ground.without(A.members)
     kept = [J.ground.position(i) for i in new_ground]
-    vecs = [tuple(g[pos] for pos in kept) for g in sat.vectors]
-    if sum(map(sum, vecs)) != sum(map(sum, sat.vectors)):
-        raise AssertionError(f"a saturated generator of {sat} still involves {A}")
-    return MonomialIdeal(new_ground, vecs)
+    return MonomialIdeal(new_ground, _Unreduced([tuple(g[p] for p in kept) for g in J.vectors]))
 
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:
@@ -167,44 +156,9 @@ def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIde
     return expand_squarefree(local.as_squarefree())
 
 
-def compose_localizations_check(
-    u: SquarefreeMonomial, A: VariableSubset, B: VariableSubset
-) -> bool:
-    """Localizing at ``A`` and then at ``B \\ A`` must equal localizing at ``B``.
-
-    Requires ``A`` to be contained in ``B``.  Both the closed form and the
-    saturation route are compared.
-    """
-    if not set(A.members) <= set(B.members):
-        raise ValueError(f"{A} is not contained in {B}")
-    via_b = localize_closed_form(u, B)
-
-    first = localize_closed_form(u, A)
-    rest = tuple(i for i in B.members if i not in set(A.members))
-    if first.is_unit_ideal:
-        closed_ok = via_b.is_unit_ideal
-    else:
-        step_ground = GroundSet(first.ground)
-        second = localize_closed_form(
-            first.as_squarefree(), VariableSubset(step_ground, rest)
-        )
-        closed_ok = (second.indices, second.ground) == (via_b.indices, via_b.ground)
-    if not closed_ok:
-        return False
-
-    if B.is_everything:
-        return True
-    J = expand_squarefree(u)
-    direct = localize_by_saturation(J, B)
-    staged = localize_by_saturation(J, A)
-    staged = localize_by_saturation(staged, VariableSubset(staged.ground, rest))
-    return staged == direct
-
-
 __all__ = [
     "LocalizedGenerator",
     "VariableSubset",
-    "compose_localizations_check",
     "localize_by_saturation",
     "localize_closed_form",
     "localized_expansion",

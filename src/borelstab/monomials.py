@@ -1,13 +1,24 @@
 """Exact monomial and monomial-ideal arithmetic over ordered ground sets.
 
 Everything here is plain integer combinatorics on exponent vectors: no
-coefficient field, no polynomials, no Groebner machinery.  A
-:class:`Monomial` stores its exponent vector, aligned with its ground set,
-and its positional constructor takes that vector; ``exps``, the sorted
-nonzero ``(label, exponent)`` pairs, is a view built only for text and
-JSON.  Variable labels are positive integers carried by a
-:class:`GroundSet`, so localized ideals can keep their original labels
-(e.g. live on the variables ``{2, 3, 4, 5}``) without renumbering.
+coefficient field, no polynomials, no Groebner machinery.  Variable labels
+are positive integers carried by a :class:`GroundSet`, so localized ideals
+can keep their original labels (e.g. live on the variables ``{2, 3, 4, 5}``)
+without renumbering.
+
+:class:`Monomial` is the boundary type for text and JSON.  It is built by
+its positional constructor ``Monomial(ground, vector)``, by
+:meth:`Monomial.make` and :meth:`Monomial.unit`, or by
+:func:`parse_monomial`, and read through ``vector``, ``exps``, ``degree``,
+``support`` and ``str``.  Ideal arithmetic never multiplies or divides
+``Monomial`` values: every kernel reads and builds the exponent vectors of
+a :class:`MonomialIdeal`, whose ``in`` is the membership test.
+
+``Monomial.exponent_vector`` and ``MonomialIdeal.generator_vectors`` have
+no caller in the package; they stay because the benchmark under ``bench/``
+reads them.  :func:`minimalize`, :func:`colon` and :func:`saturate` stay
+for the same reason (the benchmark traces them), and the tests use them
+as referees.
 
 All types are immutable and all operations are pure functions.
 """
@@ -18,7 +29,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, le
 
 
 class GroundSetMismatch(ValueError):
@@ -51,10 +62,6 @@ class GroundSet:
         if n < 1:
             raise ValueError("need at least one variable")
         return cls(tuple(range(1, n + 1)))
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
     @property
     def is_contiguous(self) -> bool:
@@ -125,21 +132,10 @@ class Monomial:
     def unit(cls, ground: GroundSet) -> Monomial:
         return cls(ground, (0,) * len(ground))
 
-    @classmethod
-    def variable(cls, ground: GroundSet, label: int, power: int = 1) -> Monomial:
-        return cls.make(ground, {label: power})
-
-    @classmethod
-    def from_vector(cls, ground: GroundSet, vec) -> Monomial:
-        return cls(ground, vec)
-
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
         """The nonzero exponents as sorted ``(label, exponent)`` pairs."""
         return tuple((i, e) for i, e in zip(self.ground.indices, self.vector) if e)
-
-    def exponent(self, label: int) -> int:
-        return self.vector[self.ground.position(label)] if label in self.ground else 0
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Exponents aligned with the ground set order."""
@@ -160,41 +156,6 @@ class Monomial:
     @property
     def is_squarefree(self) -> bool:
         return max(self.vector) <= 1
-
-    @property
-    def min_index(self) -> int:
-        if self.is_unit:
-            raise ValueError("unit monomial has no support")
-        return self.support[0]
-
-    @property
-    def max_index(self) -> int:
-        if self.is_unit:
-            raise ValueError("unit monomial has no support")
-        return self.support[-1]
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        _check_same_ground(self, other)
-        return Monomial(self.ground, tuple(map(add, self.vector, other.vector)))
-
-    def __pow__(self, k: int) -> Monomial:
-        if k < 0:
-            raise ValueError("negative power")
-        return Monomial(self.ground, tuple(e * k for e in self.vector))
-
-    def gcd(self, other: Monomial) -> Monomial:
-        _check_same_ground(self, other)
-        return Monomial(self.ground, tuple(map(min, self.vector, other.vector)))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        _check_same_ground(self, other)
-        return Monomial(self.ground, tuple(map(max, self.vector, other.vector)))
-
-    def divide_by(self, other: Monomial) -> Monomial:
-        """Exact division; raises if ``other`` does not divide ``self``."""
-        if not divides(other, self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.ground, tuple(map(sub, self.vector, other.vector)))
 
     def __str__(self) -> str:
         if self.is_unit:
@@ -250,29 +211,6 @@ class SquarefreeMonomial:
         return SquarefreeMonomial(new_ground, new_idx)
 
 
-def divides(w1: Monomial, w2: Monomial) -> bool:
-    """True iff every exponent of ``w1`` is at most the one in ``w2``."""
-    _check_same_ground(w1, w2)
-    return all(map(le, w1.vector, w2.vector))
-
-
-def lex_key(w: Monomial) -> tuple[int, ...]:
-    """Sort key for the lex order with x_i > x_j whenever i < j.
-
-    Comparing exponent vectors (aligned to the ground set) as plain tuples
-    realizes exactly that order: the smallest index where two monomials
-    differ decides, larger exponent first.
-    """
-    return w.vector
-
-
-def radical(w: Monomial) -> SquarefreeMonomial:
-    """The product of the support variables of a non-unit monomial."""
-    if w.is_unit:
-        raise ValueError("unit monomial has no radical support")
-    return SquarefreeMonomial(w.ground, w.support)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, stored as the exponent vectors of its minimal generators.
@@ -289,6 +227,10 @@ class MonomialIdeal:
     divides, is rejected.  The kernels (:func:`minimalize`, :func:`colon`,
     :func:`saturate`, :func:`_powers`) hand their raw vectors to the same
     pass as an :class:`_Unreduced` list, whose redundant vectors it drops.
+
+    Plain tuple order on the vectors is lex order with x_1 > x_2 > ...:
+    the first position where two vectors differ decides, the larger
+    exponent first.
     """
 
     ground: GroundSet
@@ -428,16 +370,12 @@ def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     return _powers(J, k)[-1]
 
 
-# --- shared text format ---------------------------------------------------
+# --- text format ----------------------------------------------------------
 #
 # Monomials are written as comma-separated ``index^exponent`` pairs with the
 # exponent omitted when it is 1, e.g. ``1^2,3,5^4`` for x_1^2 x_3 x_5^4.
 # Squarefree monomials may be bare index lists such as ``1,3,4,5``.  The unit
-# monomial is the empty string.  Ground sets are ``n=5`` or ``vars=2,3,5``.
-
-
-def format_monomial(w: Monomial) -> str:
-    return ",".join(f"{i}^{e}" if e > 1 else str(i) for i, e in w.exps)
+# monomial is the empty string.
 
 
 def parse_monomial(text: str, ground: GroundSet) -> Monomial:
@@ -467,11 +405,3 @@ def parse_squarefree(text: str, ground: GroundSet) -> SquarefreeMonomial:
         raise ValueError(f"{text!r} is not a non-unit squarefree monomial")
     return SquarefreeMonomial(ground, w.support)
 
-
-def parse_ground(text: str) -> GroundSet:
-    text = text.strip()
-    if text.startswith("n="):
-        return GroundSet.contiguous(int(text[2:]))
-    if text.startswith("vars="):
-        return GroundSet(tuple(int(p) for p in text[5:].split(",") if p.strip()))
-    raise ValueError(f"malformed ground set {text!r} (expected n=... or vars=...)")

@@ -10,7 +10,12 @@ The largest such variable count is ``q``; the depth of the quotient ring
 is then ``n - q - 1``, and the maximal ideal is associated exactly when
 ``q = n - 1``.  The formula's validity domain is exactly this generator
 class, so the entry points here construct the generator list themselves
-from a squarefree generator.
+from a squarefree generator.  ``q``, the depth and the depth-zero flag are
+read off one :func:`quotient_profile`.
+
+:func:`depth_zero_witness` has no caller in the package.  It stays as the
+explicit depth-zero generator of the construction, which the benchmark
+times and the tests check.
 """
 
 from __future__ import annotations
@@ -70,21 +75,6 @@ def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> Quo
     return _power_profile(u, k, n)[1]
 
 
-def q_invariant(u: SquarefreeMonomial, k: int, n: int | None = None) -> int:
-    """Largest colon-variable count over the generators of the k-th power."""
-    return quotient_profile(u, k, n).q
-
-
-def depth_power(u: SquarefreeMonomial, k: int, n: int | None = None) -> int:
-    """depth of S/I^k, namely n - q - 1."""
-    return quotient_profile(u, k, n).depth
-
-
-def max_ideal_in_ass(u: SquarefreeMonomial, k: int, n: int | None = None) -> bool:
-    """Whether the maximal ideal is associated to the k-th power (q = n-1)."""
-    return quotient_profile(u, k, n).m_in_ass
-
-
 def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     """A generator of the k-th power whose colon set uses all of ``1..n-1``.
 
@@ -120,9 +110,6 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
 
 __all__ = [
     "QuotientProfile",
-    "depth_power",
     "depth_zero_witness",
-    "max_ideal_in_ass",
-    "q_invariant",
     "quotient_profile",
 ]

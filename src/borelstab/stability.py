@@ -21,6 +21,10 @@ equal to the single variable of its ring, but such localizations do occur
 (the localized ideal is then the maximal ideal itself); they are members
 with index 1.  A localized generator that collapses to the unit monomial
 makes the localization the whole ring: never a member.
+
+:func:`lambda_value_witness` has no caller in the package.  It stays as the
+construction of a generator for each index value, which the tests check
+against the oracle.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -19,8 +20,9 @@ from borelstab import (
     MonomialIdeal,
     SquarefreeMonomial,
     VariableSubset,
+    expand_squarefree,
     lambda_of_prime,
-    lex_key,
+    localize_by_saturation,
     localize_closed_form,
     minimalize,
 )
@@ -59,7 +61,7 @@ def lex_compare(w1: Monomial, w2: Monomial) -> int:
     """-1, 0 or 1 as ``w1`` is lex-smaller, equal, or lex-greater."""
     if w1.ground != w2.ground:
         raise GroundSetMismatch(f"ground sets differ: {w1.ground} vs {w2.ground}")
-    a, b = lex_key(w1), lex_key(w2)
+    a, b = w1.vector, w2.vector
     return (a > b) - (a < b)
 
 
@@ -70,7 +72,7 @@ def linear_quotient_set(gens, i: int, cap: int) -> frozenset[int]:
     hold against brute-force colons."""
     if not 1 <= i <= len(gens):
         raise ValueError(f"position {i} out of range 1..{len(gens)}")
-    keys = [lex_key(g) for g in gens]
+    keys = [g.vector for g in gens]
     if any(a <= b for a, b in zip(keys, keys[1:])):
         raise ValueError("generators not sorted in strictly decreasing lex order")
     if i == 1:
@@ -125,6 +127,23 @@ def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:
     return MonomialIdeal(w.ground, tuple(seen))
 
 
+def assert_localizations_compose(u, A, B) -> None:
+    """Localizing at ``A`` and then at ``B \\ A`` equals localizing at
+    ``B``, for ``A`` inside ``B``, by the closed form and by saturation."""
+    rest = tuple(i for i in B.members if i not in A.members)
+    first, via_b = localize_closed_form(u, A), localize_closed_form(u, B)
+    if first.is_unit_ideal:
+        assert via_b.is_unit_ideal, (u, A, B)
+    else:
+        step = VariableSubset(GroundSet(first.ground), rest)
+        assert localize_closed_form(first.as_squarefree(), step) == via_b, (u, A, B)
+    if not B.is_everything:
+        J = expand_squarefree(u)
+        staged = localize_by_saturation(J, A)
+        staged = localize_by_saturation(staged, VariableSubset(staged.ground, rest))
+        assert staged == localize_by_saturation(J, B), (u, A, B)
+
+
 def power_by_all_products(J: MonomialIdeal, k: int) -> MonomialIdeal:
     """J^k from every k-fold product of generators at once: the referee of
     ``ideal_power``, which builds each power from the one before."""
@@ -169,9 +188,8 @@ def brute_colon_members(J: MonomialIdeal, w: Monomial, bounds):
     ground = J.ground
     hits = []
     for vec in box_vectors(bounds):
-        m = Monomial.from_vector(ground, vec)
-        if m * w in J:
-            hits.append(m)
+        if Monomial(ground, tuple(map(add, vec, w.vector))) in J:
+            hits.append(Monomial(ground, vec))
     return minimalize(hits, ground) if hits else MonomialIdeal(ground, ())
 
 
@@ -179,35 +197,16 @@ def brute_colon_members(J: MonomialIdeal, w: Monomial, bounds):
 #
 # A reference monomial is a ``{label: exponent}`` dict with no zero values.
 # These functions never touch the library, so the property tests compare
-# its vector arithmetic with a second, independent representation.
+# its vectors, membership, lex order and text with a second, independent
+# representation.
 
 
 def ref_clean(a: dict) -> dict:
     return {i: e for i, e in a.items() if e}
 
 
-def ref_mul(a: dict, b: dict) -> dict:
-    return ref_clean({i: a.get(i, 0) + b.get(i, 0) for i in {*a, *b}})
-
-
-def ref_pow(a: dict, k: int) -> dict:
-    return ref_clean({i: e * k for i, e in a.items()})
-
-
-def ref_gcd(a: dict, b: dict) -> dict:
-    return ref_clean({i: min(e, b.get(i, 0)) for i, e in a.items()})
-
-
-def ref_lcm(a: dict, b: dict) -> dict:
-    return ref_clean({i: max(a.get(i, 0), b.get(i, 0)) for i in {*a, *b}})
-
-
 def ref_divides(a: dict, b: dict) -> bool:
     return all(e <= b.get(i, 0) for i, e in a.items())
-
-
-def ref_divide(a: dict, b: dict) -> dict:
-    return ref_clean({i: e - b.get(i, 0) for i, e in a.items()})
 
 
 def ref_pairs(a: dict) -> tuple:

@@ -23,7 +23,6 @@ from borelstab import (
     ass_profile,
     associated_primes,
     colon,
-    compose_localizations_check,
     cover_positions,
     expand_squarefree,
     ideal_power,
@@ -33,11 +32,11 @@ from borelstab import (
     lambda_value_witness,
     localize_by_saturation,
     localize_closed_form,
-    max_ideal_in_ass,
     m_in_ass,
     minimalize,
     persistence_scan,
     power_generators,
+    quotient_profile,
     saturate,
     stable_membership_combinatorial,
     stable_set_enumerate,
@@ -47,9 +46,11 @@ from conftest import (
     WORKED_TABLE,
     all_squarefree,
     all_subsets,
+    assert_localizations_compose,
     closure_by_moves,
     linear_quotient_set,
     max_preserved,
+    power_by_all_products,
     stable_membership_direct,
 )
 
@@ -168,13 +169,8 @@ def test_criterion_4_constructed_generators_hit_every_index():
             for i in range(2, d + 1):
                 u, n = lambda_value_witness(d, i)
                 base = expand_squarefree(u)
-                power = base
                 for k in range(1, i + 1):
-                    if k > 1:
-                        power = minimalize(
-                            a * b for a in power.generators for b in base.generators
-                        )
-                    assert m_in_ass(power) == (k == i), (d, i, k)
+                    assert m_in_ass(power_by_all_products(base, k)) == (k == i), (d, i, k)
 
 
 def test_criterion_4_sharp_by_the_oracle():
@@ -211,14 +207,9 @@ def test_criterion_5_depth_formula_equals_oracle():
         for n in range(1, 6):
             for u in all_squarefree(n):
                 base = expand_squarefree(u)
-                power = base
                 for k in (1, 2, 3):
-                    if k > 1:
-                        power = minimalize(
-                            a * b for a in power.generators for b in base.generators
-                        )
-                    formula = max_ideal_in_ass(u, k)
-                    oracle = m_in_ass(power)
+                    formula = quotient_profile(u, k).m_in_ass
+                    oracle = m_in_ass(power_by_all_products(base, k))
                     assert formula == oracle, (u.indices, n, k, formula, oracle)
 
 
@@ -253,7 +244,7 @@ def test_criterion_7_localization_equivalence():
                     loc = localize_closed_form(u, A)
                     if A.is_everything:
                         assert loc.is_unit_ideal
-                        assert saturate(J, A.product()).is_unit
+                        assert saturate(J, Monomial(g, (1,) * n)).is_unit
                         continue
                     if not members:
                         assert (loc.indices, loc.ground) == (u.indices, g.indices)
@@ -275,9 +266,7 @@ def test_criterion_7_localization_equivalence():
             u = rng.choice(pool)
             b = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
             a = tuple(sorted(rng.sample(b, rng.randint(0, len(b) - 1))))
-            assert compose_localizations_check(
-                u, VariableSubset(g, a), VariableSubset(g, b)
-            ), (u.indices, a, b)
+            assert_localizations_compose(u, VariableSubset(g, a), VariableSubset(g, b))
 
 
 def test_criterion_8_power_membership_predicate():
@@ -296,7 +285,7 @@ def test_criterion_8_power_membership_predicate():
                     for vec in itertools.product(range(k + 1), repeat=n):
                         if sum(vec) != target:
                             continue
-                        w = Monomial.from_vector(g, vec)
+                        w = Monomial(g, vec)
                         assert is_power_generator(w, u, k) == (vec in members), (
                             u.indices,
                             n,

@@ -83,12 +83,9 @@ class TestIrreducibleDecomposition:
         samples.append(ideal(mono(g4, x1=1, x2=2, x3=1), mono(g4, x2=1, x4=2)))
         for J in samples:
             comps = irreducible_decomposition(J)
-            bounds = [
-                max(g.exponent(i) for g in J.generators) + 1
-                for i in J.ground.indices
-            ]
+            bounds = [max(column) + 1 for column in zip(*J.vectors)]
             for vec in box_vectors(bounds):
-                w = Monomial.from_vector(J.ground, vec)
+                w = Monomial(J.ground, vec)
                 assert (w in J) == all(w in c for c in comps), (J, w)
 
     def test_components_are_irredundant(self):
@@ -96,14 +93,12 @@ class TestIrreducibleDecomposition:
         J = ideal_power(expand_squarefree(sf(g3, 2, 3)), 2)
         comps = irreducible_decomposition(J)
         # dropping any single component must strictly enlarge the intersection
-        bounds = [
-            max(g.exponent(i) for g in J.generators) + 1 for i in J.ground.indices
-        ]
+        bounds = [max(column) + 1 for column in zip(*J.vectors)]
         for skip in range(len(comps)):
             rest = [c for t, c in enumerate(comps) if t != skip]
             witness_found = False
             for vec in box_vectors(bounds):
-                w = Monomial.from_vector(J.ground, vec)
+                w = Monomial(J.ground, vec)
                 if all(w in c for c in rest) and w not in comps[skip]:
                     witness_found = True
                     break
@@ -309,9 +304,9 @@ def _colon_cells(J):
     """Every cell ``w`` of the box with ``J : w`` an exact monomial prime,
     in lex order, paired with that prime as a sorted label tuple."""
     ground = J.ground
-    bounds = [max(g.exponent(i) for g in J.generators) for i in ground.indices]
+    bounds = [max(column) for column in zip(*J.vectors)]
     for vec in box_vectors(bounds):
-        q = colon(J, Monomial.from_vector(ground, vec))
+        q = colon(J, Monomial(ground, vec))
         if q.generators and all(m.degree == 1 for m in q.generators):
             yield vec, tuple(sorted(m.support[0] for m in q.generators))
 
@@ -336,7 +331,7 @@ def test_decomposition_route_equals_colon_enumeration():
         for _ in range(rng.randint(1, 5)):
             vec = tuple(rng.randint(0, 3) for _ in range(n))
             if any(vec):
-                gens.append(Monomial.from_vector(g, vec))
+                gens.append(Monomial(g, vec))
         if not gens:
             continue
         J = minimalize(gens)

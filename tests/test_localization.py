@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from borelstab import (
     GroundSet,
+    Monomial,
+    MonomialIdeal,
     VariableSubset,
-    compose_localizations_check,
     expand_squarefree,
     ideal_power,
     localize_by_saturation,
@@ -21,7 +22,14 @@ from borelstab import (
     power_generators,
     saturate,
 )
-from conftest import all_squarefree, all_subsets, ideal, mono, sf
+from conftest import (
+    all_squarefree,
+    all_subsets,
+    assert_localizations_compose,
+    ideal,
+    mono,
+    sf,
+)
 
 
 class TestVariableSubset:
@@ -125,7 +133,7 @@ def test_closed_form_equals_saturation_small():
                 loc = localize_closed_form(u, A)
                 if A.is_everything:
                     assert loc.is_unit_ideal
-                    assert saturate(J, A.product()).is_unit
+                    assert saturate(J, Monomial(g, (1,) * n)).is_unit
                     continue
                 if not members:
                     assert loc.indices == u.indices
@@ -137,6 +145,33 @@ def test_closed_form_equals_saturation_small():
                     assert sat.is_unit
                 else:
                     assert sat == expansion
+
+
+def test_projection_equals_saturation_rehoused():
+    # the projection onto the complement positions against the saturation
+    # by the product of the A-variables, re-housed on the complement: every
+    # u with n <= 6, the powers k = 1, 2 and every proper A (10,428 cases)
+    cases = 0
+    for n in range(1, 7):
+        g = GroundSet.contiguous(n)
+        for u in all_squarefree(n):
+            for k in (1, 2):
+                J = power_generators(u, k)
+                for members in all_subsets(n):
+                    if len(members) == n:
+                        continue
+                    A = VariableSubset(g, members)
+                    sat = saturate(J, Monomial(g, tuple(int(i in members) for i in g)))
+                    gone = [pos for pos, i in enumerate(g) if i in members]
+                    kept = [pos for pos, i in enumerate(g) if i not in members]
+                    # re-housing loses nothing: no A-exponent survives saturation
+                    assert not any(v[pos] for v in sat.vectors for pos in gone)
+                    rehoused = MonomialIdeal(
+                        GroundSet(A.complement), [tuple(v[p] for p in kept) for v in sat.vectors]
+                    )
+                    assert localize_by_saturation(J, A) == rehoused, (u, k, members)
+                    cases += 1
+    assert cases == 10428
 
 
 def test_degree_drops_by_one_per_firing_step(g5, worked_generator):
@@ -174,23 +209,17 @@ class TestComposition:
     def test_two_step_identity_instance(self, g5, worked_generator):
         A = VariableSubset(g5, (1,))
         B = VariableSubset(g5, (1, 5))
-        assert compose_localizations_check(worked_generator, A, B)
+        assert_localizations_compose(worked_generator, A, B)
 
     def test_empty_chain(self, g4):
         A = VariableSubset(g4, ())
-        assert compose_localizations_check(sf(g4, 2, 4), A, A)
+        assert_localizations_compose(sf(g4, 2, 4), A, A)
 
     def test_derived_instance(self, g4):
         u = sf(g4, 2, 4)
         A = VariableSubset(g4, (2,))
         B = VariableSubset(g4, (2, 3))
-        assert compose_localizations_check(u, A, B)
-
-    def test_requires_containment(self, g4):
-        with pytest.raises(ValueError):
-            compose_localizations_check(
-                sf(g4, 2, 4), VariableSubset(g4, (1,)), VariableSubset(g4, (2,))
-            )
+        assert_localizations_compose(u, A, B)
 
     def test_sampled_pairs(self):
         rng = random.Random(11)
@@ -205,7 +234,7 @@ class TestComposition:
             a_members = tuple(
                 sorted(rng.sample(b_members, rng.randint(0, len(b_members))))
             )
-            assert compose_localizations_check(
+            assert_localizations_compose(
                 u, VariableSubset(g, a_members), VariableSubset(g, b_members)
             )
 

@@ -14,24 +14,16 @@ from borelstab import (
     GroundSet,
     Monomial,
     MonomialIdeal,
-    divides,
-    format_monomial,
-    lex_key,
     minimalize,
     parse_monomial,
 )
 from conftest import (
-    ref_divide,
     ref_divides,
     ref_format,
-    ref_gcd,
     ref_is_minimal,
-    ref_lcm,
     ref_lex_greater,
     ref_minimal_vectors,
-    ref_mul,
     ref_pairs,
-    ref_pow,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -62,19 +54,6 @@ def test_view_matches_reference(case):
     assert w.degree == sum(a.values())
     assert w.support == tuple(i for i, _ in ref_pairs(a))
     assert w.is_unit == (not ref_pairs(a))
-    for label in range(1, 14):
-        assert w.exponent(label) == a.get(label, 0)
-
-
-@PROPERTY
-@given(ground_and_dicts(), st.integers(0, 3))
-def test_arithmetic_matches_reference(case, k):
-    labels, (a, b) = case
-    ground, (w, v) = build(labels, (a, b))
-    assert (w * v).exps == ref_pairs(ref_mul(a, b))
-    assert (w**k).exps == ref_pairs(ref_pow(a, k))
-    assert w.gcd(v).exps == ref_pairs(ref_gcd(a, b))
-    assert w.lcm(v).exps == ref_pairs(ref_lcm(a, b))
 
 
 @PROPERTY
@@ -82,12 +61,8 @@ def test_arithmetic_matches_reference(case, k):
 def test_divisibility_matches_reference(case):
     labels, (a, b) = case
     ground, (w, v) = build(labels, (a, b))
-    assert divides(w, v) == ref_divides(a, b)
-    if ref_divides(b, a):
-        assert w.divide_by(v).exps == ref_pairs(ref_divide(a, b))
-    else:
-        with pytest.raises(ValueError):
-            w.divide_by(v)
+    # v lies in the principal ideal (w) exactly when w divides v
+    assert (v in MonomialIdeal(ground, (w,))) == ref_divides(a, b)
 
 
 @PROPERTY
@@ -95,8 +70,9 @@ def test_divisibility_matches_reference(case):
 def test_lex_order_matches_reference(case):
     labels, (a, b) = case
     ground, (w, v) = build(labels, (a, b))
-    assert (lex_key(w) > lex_key(v)) == ref_lex_greater(a, b)
-    assert (lex_key(w) == lex_key(v)) == (ref_pairs(a) == ref_pairs(b))
+    # plain tuple order on the vectors is lex order with x_1 > x_2 > ...
+    assert (w.vector > v.vector) == ref_lex_greater(a, b)
+    assert (w.vector == v.vector) == (ref_pairs(a) == ref_pairs(b))
 
 
 @PROPERTY
@@ -104,9 +80,7 @@ def test_lex_order_matches_reference(case):
 def test_text_round_trip(case):
     labels, (a,) = case
     ground, (w,) = build(labels, (a,))
-    text = format_monomial(w)
-    assert text == ref_format(a)
-    assert parse_monomial(text, ground) == w
+    assert parse_monomial(ref_format(a), ground) == w
     shown = "".join(f"x_{i}^{e}" if e > 1 else f"x_{i}" for i, e in ref_pairs(a))
     assert str(w) == (shown or "1")
 
@@ -139,13 +113,13 @@ def test_one_minimality_rule(case):
 @pytest.mark.parametrize("vec", [(1, 2), (1, 2, 3, 4), ()])
 def test_from_vector_rejects_wrong_length(vec):
     with pytest.raises(ValueError):
-        Monomial.from_vector(GroundSet.contiguous(3), vec)
+        Monomial(GroundSet.contiguous(3), vec)
 
 
 def test_constructor_takes_the_vector():
     g = GroundSet((2, 5, 7))
     w = Monomial(g, (1, 0, 3))
-    assert w == Monomial.make(g, {2: 1, 7: 3}) == Monomial.from_vector(g, [1, 0, 3])
+    assert w == Monomial.make(g, {2: 1, 7: 3}) == Monomial(g, [1, 0, 3])
     assert w.exps == ((2, 1), (7, 3))
     with pytest.raises(ValueError):
         Monomial(g, (1, -1, 0))

@@ -6,19 +6,23 @@ import pytest
 from borelstab import (
     GroundSet,
     colon,
-    depth_power,
     depth_zero_witness,
     expand_squarefree,
     ideal_power,
-    max_ideal_in_ass,
     m_in_ass,
     minimalize,
     power_generators,
-    q_invariant,
     quotient_profile,
 )
 from borelstab.quotients import _colon_variables
-from conftest import all_squarefree, closure_by_moves, linear_quotient_set, mono, sf
+from conftest import (
+    all_squarefree,
+    closure_by_moves,
+    linear_quotient_set,
+    mono,
+    power_by_all_products,
+    sf,
+)
 
 
 class TestLinearQuotientSet:
@@ -53,10 +57,10 @@ class TestLinearQuotientSet:
 
 class TestQInvariant:
     def test_examples(self, g3):
-        assert q_invariant(sf(g3, 2, 3), 1) == 1
-        assert q_invariant(sf(g3, 2, 3), 2) == 2
+        assert quotient_profile(sf(g3, 2, 3), 1).q == 1
+        assert quotient_profile(sf(g3, 2, 3), 2).q == 2
         g1 = GroundSet.contiguous(1)
-        assert q_invariant(sf(g1, 1), 5) == 0
+        assert quotient_profile(sf(g1, 1), 5).q == 0
 
     def test_witness_generator_reaches_q(self, g3):
         profile = quotient_profile(sf(g3, 2, 3), 2)
@@ -67,31 +71,28 @@ class TestQInvariant:
 
 class TestDepth:
     def test_examples(self, g3):
-        assert depth_power(sf(g3, 2, 3), 1) == 1
-        assert depth_power(sf(g3, 2, 3), 2) == 0
+        assert quotient_profile(sf(g3, 2, 3), 1).depth == 1
+        assert quotient_profile(sf(g3, 2, 3), 2).depth == 0
         g2 = GroundSet.contiguous(2)
-        assert depth_power(sf(g2, 1, 2), 1) == 1  # principal: q = 0
+        assert quotient_profile(sf(g2, 1, 2), 1).depth == 1  # principal: q = 0
 
     def test_depth_non_increasing_in_k(self):
         for n in (2, 3, 4, 5):
             for u in all_squarefree(n):
-                values = [depth_power(u, k) for k in (1, 2, 3)]
+                values = [quotient_profile(u, k).depth for k in (1, 2, 3)]
                 assert values == sorted(values, reverse=True), (u, values)
 
 
 class TestMaxIdealInAss:
     def test_examples(self, g3):
-        assert not max_ideal_in_ass(sf(g3, 2, 3), 1)
-        assert max_ideal_in_ass(sf(g3, 2, 3), 2)
+        assert not quotient_profile(sf(g3, 2, 3), 1).m_in_ass
+        assert quotient_profile(sf(g3, 2, 3), 2).m_in_ass
 
     def test_min_one_never_associated(self, g5, worked_generator):
         J = expand_squarefree(worked_generator)
-        Jk = J
         for k in range(1, 5):
-            if k > 1:
-                Jk = minimalize(a * b for a in Jk.generators for b in J.generators)
-            assert not max_ideal_in_ass(worked_generator, k)
-            assert not m_in_ass(Jk)
+            assert not quotient_profile(worked_generator, k).m_in_ass
+            assert not m_in_ass(power_by_all_products(J, k))
 
     def test_negative_branches(self):
         # max(u) < n or min(u) = 1: never associated (formula side, k <= 3)
@@ -102,14 +103,14 @@ class TestMaxIdealInAss:
                 if n == 1:
                     continue
                 for k in (1, 2, 3):
-                    assert not max_ideal_in_ass(u, k), (u, k)
+                    assert not quotient_profile(u, k).m_in_ass, (u, k)
 
     def test_formula_vs_oracle_small(self):
         for n in (1, 2, 3, 4):
             for u in all_squarefree(n):
                 J = expand_squarefree(u)
                 for k in (1, 2):
-                    assert max_ideal_in_ass(u, k) == m_in_ass(ideal_power(J, k))
+                    assert quotient_profile(u, k).m_in_ass == m_in_ass(ideal_power(J, k))
 
 
 class TestDepthZeroWitness:
