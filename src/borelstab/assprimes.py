@@ -29,6 +29,11 @@ instead of running unbounded.
 no caller in the package.  They stay because the benchmark under
 ``bench/`` traces the decomposition for its box-cell and component
 counts, and the tests check the socle sweep through it.
+
+:func:`ass_profile`, :func:`persistence_scan` and :func:`cross_validate`
+still take ``n`` as their second parameter, although it must equal
+``len(u.ground)``: the benchmark under ``bench/`` passes it positionally.
+Every other function reads ``n`` off the ground set of ``u``.
 """
 
 from __future__ import annotations
@@ -259,21 +264,21 @@ def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
 class AssProfile:
     """Associated primes of the first ``kmax`` powers of an expansion.
 
-    ``primes_by_power[k-1]`` lists the primes of the k-th power, each as a
-    sorted label tuple; ``witnesses_by_power`` pairs each with a confirmed
-    colon witness.  ``stable_from`` is the least power from which the sets
-    stay constant within the scanned range (None if never repeated).
+    ``witnesses_by_power[k-1]`` pairs each prime of the k-th power, as a
+    sorted label tuple, with a confirmed colon witness; :meth:`primes_at`
+    lists the primes alone.  ``stable_from`` is the least power from which
+    the sets stay constant within the scanned range (None if never
+    repeated).
     """
 
     u: SquarefreeMonomial
     n: int
     kmax: int
-    primes_by_power: tuple[tuple[tuple[int, ...], ...], ...]
     witnesses_by_power: tuple[tuple[tuple[tuple[int, ...], Monomial], ...], ...]
     stable_from: int | None
 
     def primes_at(self, k: int) -> tuple[tuple[int, ...], ...]:
-        return self.primes_by_power[k - 1]
+        return tuple(prime for prime, _ in self.witnesses_by_power[k - 1])
 
 
 def ass_profile(
@@ -300,15 +305,10 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
     for k in range(1, kmax + 1):
         _cells([k * b for b in bounds], ceiling)
     powers = _powers(base, kmax)
-    per_power = []
-    witnesses = []
-    for J in powers:
-        witnessed = associated_primes(J, ceiling, with_witnesses=True)
-        per_power.append(tuple(witnessed))
-        witnesses.append(tuple(witnessed.items()))
+    witnessed = [associated_primes(J, ceiling, with_witnesses=True) for J in powers]
     stable_from = None
     for k in range(kmax - 1, 0, -1):
-        if set(per_power[k - 1]) == set(per_power[k]):
+        if witnessed[k - 1].keys() == witnessed[k].keys():
             stable_from = k
         else:
             break
@@ -316,8 +316,7 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
         u=u,
         n=n,
         kmax=kmax,
-        primes_by_power=tuple(per_power),
-        witnesses_by_power=tuple(witnesses),
+        witnesses_by_power=tuple(tuple(w.items()) for w in witnessed),
         stable_from=stable_from,
     )
     return profile, powers
@@ -399,7 +398,7 @@ def cross_validate(
 
     depth_checks = 0
     for k in range(1, kmax + 1):
-        formula = quotient_profile(u, k, n).q == n - 1
+        formula = quotient_profile(u, k).q == n - 1
         oracle = labels in ass_sets[k - 1]
         if formula != oracle:
             _fail({"check": "depth", "u": str(u), "k": k, "formula": formula, "oracle": oracle})
@@ -435,7 +434,7 @@ def cross_validate(
                         )
                     localization_checks += 1
 
-            lam = lambda_of_prime(u, A, n)
+            lam = lambda_of_prime(u, A)
             for k in range(1, kmax + 1):
                 expected = lam <= k
                 observed = bool(prime) and prime in ass_sets[k - 1]

@@ -12,7 +12,12 @@ Every verb maps to one library operation or scan:
     ass             brute-force associated primes of the first powers
     persist         persistence check Ass(I^k) within Ass(I^{k+1})
     validate        every closed form cross-checked against the oracle
-    table           stable set rendered as an A / u_A / P_A / lambda table
+    table           alias of stable-set (an A / u_A / P_A / lambda table)
+
+The ground set is exactly one of ``--n`` (labels 1..n) or ``--vars``
+(explicit labels); giving both, or neither, is a usage error.  Each verb
+returns its result as a JSON object or as table lines, and :func:`run`
+prints it: one place from argv to output.
 
 Exit status: 0 success, 1 domain error, 2 usage error, 3 validation
 mismatch, 4 internal error (a failed self-check: a bug, never bad input).
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import assprimes, jsonio, quotients, stability
@@ -35,23 +39,19 @@ from .localization import (
     localized_expansion,
     parse_subset,
 )
-from .monomials import (
-    GroundSet,
-    Monomial,
-    MonomialIdeal,
-    SquarefreeMonomial,
-    parse_monomial,
-    parse_squarefree,
-)
+from .monomials import GroundSet, parse_monomial, parse_squarefree
 
 
 class _UsageError(ValueError):
     pass
 
 
-def xstr(w: Monomial | None) -> str:
-    """Human display like x_1^2x_3; None and the unit monomial show as 1."""
-    return "1" if w is None else str(w)
+def _usage(parse, text: str, ground: GroundSet):
+    """``parse(text, ground)``, with a malformed argument as a usage error."""
+    try:
+        return parse(text, ground)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _set_str(labels) -> str:
@@ -64,65 +64,36 @@ def _prime_str(labels) -> str:
     return "(" + ",".join(f"x_{i}" for i in labels) + ")"
 
 
-def _lambda_str(value) -> str:
-    return "inf" if value == math.inf else str(int(value))
+def _generator_str(local) -> str:
+    """A localized generator ``u_A``; the whole ring shows as 1."""
+    return "".join(f"x_{i}" for i in local.indices) or "1"
 
 
 def _ground_from_args(args) -> GroundSet:
-    if args.vars:
+    if args.vars is not None:
         try:
             return GroundSet(tuple(int(p) for p in args.vars.split(",")))
         except ValueError as exc:
             raise _UsageError(f"malformed --vars {args.vars!r}: {exc}") from None
-    if args.n is not None:
-        if args.n < 1:
-            raise _UsageError("--n must be at least 1")
-        return GroundSet.contiguous(args.n)
-    raise _UsageError("one of --n or --vars is required")
+    if args.n < 1:
+        raise _UsageError("--n must be at least 1")
+    return GroundSet.contiguous(args.n)
 
 
-def _squarefree_from_args(args, ground: GroundSet) -> SquarefreeMonomial:
-    try:
-        return parse_squarefree(args.u, ground)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _print_ideal(J: MonomialIdeal, fmt: str, out) -> None:
-    if fmt == "json":
-        print(jsonio.emit(jsonio.ideal_to_obj(J)), file=out)
+def _cmd_ideal(args, ground):
+    """expand and power: the generators of one ideal."""
+    if args.verb == "expand":
+        J = borel_closure(_usage(parse_monomial, args.u, ground), args.k)
     else:
-        print(f"# {len(J.generators)} generators over {J.ground}", file=out)
-        for g in J.generators:
-            print(xstr(g), file=out)
+        J = power_generators(_usage(parse_squarefree, args.u, ground), args.k)
+    if args.format == "json":
+        return jsonio.ideal_to_obj(J), 0
+    return [f"# {len(J)} generators over {J.ground}", *map(str, J.generators)], 0
 
 
-def _cmd_expand(args, out) -> int:
-    ground = _ground_from_args(args)
-    try:
-        w = parse_monomial(args.u, ground)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    J = borel_closure(w, args.k)
-    _print_ideal(J, args.format, out)
-    return 0
-
-
-def _cmd_power(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
-    J = power_generators(u, args.k)
-    _print_ideal(J, args.format, out)
-    return 0
-
-
-def _cmd_localize(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
-    try:
-        A = parse_subset(args.A or "", ground)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+def _cmd_localize(args, ground):
+    u = _usage(parse_squarefree, args.u, ground)
+    A = _usage(parse_subset, args.A or "", ground)
     local = localize_closed_form(u, A)
     expansion = localized_expansion(u, A)
     if not A.is_everything and A.members:
@@ -130,157 +101,99 @@ def _cmd_localize(args, out) -> int:
         if not (sat.is_unit if expansion is None else sat == expansion):
             raise AssertionError("closed form and saturation disagree")
     if args.format == "json":
-        obj = jsonio.localization_to_obj(u, A, local, expansion)
-        print(jsonio.emit(obj), file=out)
-    else:
-        gen_str = "1" if local.is_unit_ideal else xstr(local.as_squarefree().to_monomial())
-        print(f"u_A = {gen_str} over vars={','.join(map(str, local.ground)) or '-'}", file=out)
-        if expansion is None:
-            print("localized ideal = (1)  [whole ring]", file=out)
-        else:
-            print(f"localized ideal = ({', '.join(xstr(g) for g in expansion.generators)})", file=out)
-    return 0
+        return jsonio.localization_to_obj(u, A, local, expansion), 0
+    labels = ",".join(map(str, local.ground)) or "-"
+    ideal = "(1)  [whole ring]" if expansion is None else str(expansion)
+    return [f"u_A = {_generator_str(local)} over vars={labels}", f"localized ideal = {ideal}"], 0
 
 
-def _cmd_colon_profile(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
+def _cmd_colon_profile(args, ground):
+    u = _usage(parse_squarefree, args.u, ground)
     J, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
-        print(jsonio.emit(jsonio.quotient_profile_to_obj(u, profile)), file=out)
+        return jsonio.quotient_profile_to_obj(u, profile), 0
+    lines = [
+        f"i={pos:<3} u_i={g!s:<24} colon={_set_str(sorted(s))}"
+        for pos, (g, s) in enumerate(zip(J.generators, profile.colon_sets), start=1)
+    ]
+    flag = str(profile.m_in_ass).lower()
+    return lines + [f"q = {profile.q}", f"depth = {profile.depth}", f"m_in_ass = {flag}"], 0
+
+
+def _cmd_max_ideal(args, ground):
+    """lambda and ever-associated: one value of the maximal ideal."""
+    u = _usage(parse_squarefree, args.u, ground)
+    if args.verb == "lambda":
+        key, value = "lambda", jsonio.lambda_to_obj(stability.lambda_max_ideal(u))
     else:
-        for pos, (g, s) in enumerate(zip(J.generators, profile.colon_sets), start=1):
-            print(f"i={pos:<3} u_i={xstr(g):<24} colon={_set_str(sorted(s))}", file=out)
-        print(f"q = {profile.q}", file=out)
-        print(f"depth = {profile.depth}", file=out)
-        print(f"m_in_ass = {str(profile.m_in_ass).lower()}", file=out)
-    return 0
-
-
-def _cmd_lambda(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
-    value = stability.lambda_max_ideal(u)
+        key, value = "ever_associated", stability.ever_associated(u)
     if args.format == "json":
-        obj = {
-            "schema": jsonio.SCHEMA_VERSION,
-            "u": jsonio.squarefree_to_obj(u),
-            "n": len(ground),
-            "lambda": jsonio.lambda_to_obj(value),
-        }
-        print(jsonio.emit(obj), file=out)
-    else:
-        print(_lambda_str(value), file=out)
-    return 0
+        return jsonio.max_ideal_to_obj(u, key, value), 0
+    return [str(value).lower()], 0
 
 
-def _cmd_ever_associated(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
-    value = stability.ever_associated(u)
-    if args.format == "json":
-        obj = {
-            "schema": jsonio.SCHEMA_VERSION,
-            "u": jsonio.squarefree_to_obj(u),
-            "n": len(ground),
-            "ever_associated": value,
-        }
-        print(jsonio.emit(obj), file=out)
-    else:
-        print(str(value).lower(), file=out)
-    return 0
-
-
-def _entries_for_output(u, args):
-    entries = stability.stable_set_enumerate(
-        u,
-        members_only=not args.all,
-        enumeration_bound=args.max_n,
-    )
-    if args.paper_order:
-        entries = sorted(entries, key=lambda e: (-len(e.subset), e.subset))
-    return entries
-
-
-def _print_entry_table(entries, out) -> None:
-    rows = [("A", "u_A", "P_A", "lambda")]
-    for e in entries:
-        gen = "1" if e.generator.is_unit_ideal else "".join(
-            f"x_{i}" for i in e.generator.indices
-        )
-        rows.append(
-            (
-                _set_str(e.subset),
-                gen,
-                _prime_str(e.prime),
-                _lambda_str(e.stability_index),
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(4)]
-    for r in rows:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip(), file=out)
-
-
-def _cmd_stable_set(args, out) -> int:
-    ground = _ground_from_args(args)
+def _cmd_stable_set(args, ground):
     if not ground.is_contiguous:
         raise ValueError("stable-set needs contiguous variables; use --n")
-    u = _squarefree_from_args(args, ground)
-    entries = _entries_for_output(u, args)
+    u = _usage(parse_squarefree, args.u, ground)
+    entries = stability.stable_set_enumerate(
+        u, members_only=not args.all, enumeration_bound=args.max_n
+    )
+    if args.paper_order:
+        entries.sort(key=lambda e: (-len(e.subset), e.subset))
     if args.format == "json":
-        print(jsonio.emit(jsonio.stable_set_to_obj(u, entries)), file=out)
-    else:
-        _print_entry_table(entries, out)
-    return 0
+        return jsonio.stable_set_to_obj(u, entries), 0
+    rows = [("A", "u_A", "P_A", "lambda")]
+    rows += [
+        (
+            _set_str(e.subset),
+            _generator_str(e.generator),
+            _prime_str(e.prime),
+            str(jsonio.lambda_to_obj(e.stability_index)),
+        )
+        for e in entries
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows], 0
 
 
-def _cmd_ass(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
+def _cmd_ass(args, ground):
+    u = _usage(parse_squarefree, args.u, ground)
     profile = assprimes.ass_profile(u, kmax=args.kmax, ceiling=args.ceiling)
     if args.format == "json":
-        print(jsonio.emit(jsonio.ass_profile_to_obj(profile)), file=out)
-    else:
-        for k in range(1, profile.kmax + 1):
-            primes = profile.primes_at(k)
-            listing = ", ".join(_prime_str(p) for p in primes)
-            print(f"k={k}: {len(primes)} primes: {listing}", file=out)
-        print(f"stable_from = {profile.stable_from}", file=out)
-    return 0
+        return jsonio.ass_profile_to_obj(profile), 0
+    lines = []
+    for k in range(1, profile.kmax + 1):
+        primes = profile.primes_at(k)
+        lines.append(f"k={k}: {len(primes)} primes: {', '.join(map(_prime_str, primes))}")
+    return lines + [f"stable_from = {profile.stable_from}"], 0
 
 
-def _cmd_persist(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
+def _cmd_persist(args, ground):
+    u = _usage(parse_squarefree, args.u, ground)
     report = assprimes.persistence_scan(u, kmax=args.kmax, ceiling=args.ceiling)
+    status = 0 if report.ok else 3
     if args.format == "json":
-        print(jsonio.emit(jsonio.persistence_to_obj(report)), file=out)
-    else:
-        if report.ok:
-            print(f"no violations up to k={args.kmax}", file=out)
-        else:
-            for k, prime in report.violations:
-                print(f"VIOLATION: {_prime_str(prime)} in Ass(I^{k}) only", file=out)
-    return 0 if report.ok else 3
+        return jsonio.persistence_to_obj(report), status
+    if report.ok:
+        return [f"no violations up to k={args.kmax}"], status
+    return [f"VIOLATION: {_prime_str(p)} in Ass(I^{k}) only" for k, p in report.violations], status
 
 
-def _cmd_validate(args, out) -> int:
-    ground = _ground_from_args(args)
-    u = _squarefree_from_args(args, ground)
+def _cmd_validate(args, ground):
+    u = _usage(parse_squarefree, args.u, ground)
     report = assprimes.cross_validate(
         u, kmax=args.kmax, ceiling=args.ceiling, enumeration_bound=args.max_n
     )
     if args.format == "json":
-        print(jsonio.emit(jsonio.cross_validation_to_obj(report)), file=out)
-    else:
-        total = (
-            report.depth_checks
-            + report.localization_checks
-            + report.membership_checks
-            + report.sharpness_checks
-        )
-        print(f"all {total} checks passed (kmax={args.kmax})", file=out)
-    return 0
+        return jsonio.cross_validation_to_obj(report), 0
+    total = (
+        report.depth_checks
+        + report.localization_checks
+        + report.membership_checks
+        + report.sharpness_checks
+    )
+    return [f"all {total} checks passed (kmax={args.kmax})"], 0
 
 
 def _load_config(path: str | None) -> dict:
@@ -320,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_k=False, with_kmax=False):
         p.add_argument("--u", required=True, help="monomial, e.g. 1,3,4,5 or 2^2,3")
-        p.add_argument("--n", type=int, help="contiguous ground set 1..n")
-        p.add_argument("--vars", help="explicit ground set labels, e.g. 2,3,5")
+        ground = p.add_mutually_exclusive_group(required=True)
+        ground.add_argument("--n", type=int, help="contiguous ground set 1..n")
+        ground.add_argument("--vars", help="explicit ground set labels, e.g. 2,3,5")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if with_k:
             p.add_argument("--k", type=int, default=1)
@@ -352,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "expand": _cmd_expand,
-    "power": _cmd_power,
+    "expand": _cmd_ideal,
+    "power": _cmd_ideal,
     "localize": _cmd_localize,
     "colon-profile": _cmd_colon_profile,
-    "lambda": _cmd_lambda,
-    "ever-associated": _cmd_ever_associated,
+    "lambda": _cmd_max_ideal,
+    "ever-associated": _cmd_max_ideal,
     "stable-set": _cmd_stable_set,
     "table": _cmd_stable_set,
     "ass": _cmd_ass,
@@ -367,7 +281,8 @@ _HANDLERS = {
 
 
 def run(argv, out=None, err=None) -> int:
-    """Parse and execute one invocation; returns the exit status."""
+    """Parse one invocation, run its verb and print the result in the
+    requested format; returns the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
@@ -383,7 +298,7 @@ def run(argv, out=None, err=None) -> int:
             raise ValueError(
                 f"kmax={args.kmax} above the configured ceiling {config['max_kmax']}"
             )
-        return _HANDLERS[args.verb](args, out)
+        payload, status = _HANDLERS[args.verb](args, _ground_from_args(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 2
@@ -396,6 +311,8 @@ def run(argv, out=None, err=None) -> int:
     except (ValueError, assprimes.ResourceLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 1
+    print(jsonio.emit(payload) if args.format == "json" else "\n".join(payload), file=out)
+    return status
 
 
 def main() -> None:

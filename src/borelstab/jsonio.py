@@ -34,6 +34,12 @@ def lambda_to_obj(value: int | float) -> int | str:
     return "inf" if value == math.inf else int(value)
 
 
+def max_ideal_to_obj(u: SquarefreeMonomial, key: str, value: Any) -> dict[str, Any]:
+    """One encoded value of the maximal ideal, the ``lambda`` or the
+    ``ever_associated`` verdict, after the header of ``u``."""
+    return {"schema": SCHEMA_VERSION, "u": squarefree_to_obj(u), "n": len(u.ground), key: value}
+
+
 def ideal_to_obj(J: MonomialIdeal) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -159,6 +165,7 @@ __all__ = [
     "ideal_to_obj",
     "lambda_to_obj",
     "localization_to_obj",
+    "max_ideal_to_obj",
     "monomial_to_obj",
     "persistence_to_obj",
     "quotient_profile_to_obj",

@@ -47,17 +47,12 @@ class QuotientProfile:
     m_in_ass: bool
 
 
-def _power_profile(
-    u: SquarefreeMonomial, k: int, n: int | None = None
-) -> tuple[MonomialIdeal, QuotientProfile]:
+def _power_profile(u: SquarefreeMonomial, k: int) -> tuple[MonomialIdeal, QuotientProfile]:
     """The k-th power, built once, and its profile."""
     ground = u.ground
     if not ground.is_contiguous:
         raise ValueError("quotient profile needs contiguous labels 1..n")
-    if n is None:
-        n = len(ground)
-    elif n != len(ground):
-        raise ValueError(f"n={n} does not match ground set of size {len(ground)}")
+    n = len(ground)
     J = power_generators(u, k)
     sets = [frozenset()]
     sets += [_colon_variables(ground.indices, g, k) for g in J.vectors[1:]]
@@ -70,9 +65,9 @@ def _power_profile(
     return J, profile
 
 
-def quotient_profile(u: SquarefreeMonomial, k: int, n: int | None = None) -> QuotientProfile:
+def quotient_profile(u: SquarefreeMonomial, k: int) -> QuotientProfile:
     """Full linear-quotient profile of the k-th power of the expansion of ``u``."""
-    return _power_profile(u, k, n)[1]
+    return _power_profile(u, k)[1]
 
 
 def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:

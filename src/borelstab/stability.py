@@ -42,13 +42,11 @@ INFINITE = math.inf
 DEFAULT_ENUMERATION_BOUND = 12  # stable_set_enumerate walks all 2^n subsets
 
 
-def _require_contiguous(u: SquarefreeMonomial, n: int | None) -> int:
+def _require_contiguous(u: SquarefreeMonomial) -> int:
+    """``n``, read off the ground set of ``u``, which must be ``1..n``."""
     if not u.ground.is_contiguous:
         raise ValueError("interval combinatorics needs contiguous labels 1..n")
-    size = len(u.ground)
-    if n is not None and n != size:
-        raise ValueError(f"n={n} does not match ground set of size {size}")
-    return size
+    return len(u.ground)
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,9 @@ class IntervalDecomposition:
     gaps: tuple[int, ...]
 
 
-def interval_decomposition(u: SquarefreeMonomial, n: int | None = None) -> IntervalDecomposition:
+def interval_decomposition(u: SquarefreeMonomial) -> IntervalDecomposition:
     """Decompose the support of ``u`` into maximal runs; needs ``max(u) = n``."""
-    n = _require_contiguous(u, n)
+    n = _require_contiguous(u)
     if u.max_index != n:
         raise ValueError(f"max(u) = {u.max_index} but the ground set tops out at {n}")
     blocks: list[tuple[int, int]] = []
@@ -91,13 +89,13 @@ def interval_decomposition(u: SquarefreeMonomial, n: int | None = None) -> Inter
     return deco
 
 
-def ever_associated(u: SquarefreeMonomial, n: int | None = None) -> bool:
+def ever_associated(u: SquarefreeMonomial) -> bool:
     """Whether the maximal ideal is associated to some power at all: its
     index is finite."""
-    return lambda_max_ideal(u, n) != INFINITE
+    return lambda_max_ideal(u) != INFINITE
 
 
-def lambda_max_ideal(u: SquarefreeMonomial, n: int | None = None) -> int | float:
+def lambda_max_ideal(u: SquarefreeMonomial) -> int | float:
     """Least power with the maximal ideal associated; inf when there is none.
 
     When finite the index is at most ``deg u``.  In degree at least 3 it
@@ -105,12 +103,12 @@ def lambda_max_ideal(u: SquarefreeMonomial, n: int | None = None) -> int | float
     in degree at most 2 it equals ``deg u`` whenever it is finite, so also
     at ``x_a x_n`` for ``3 <= a < n`` (acceptance criterion 3).
     """
-    n = _require_contiguous(u, n)
+    n = _require_contiguous(u)
     if n == 1:
         return 1
     if u.min_index == 1 or u.max_index < n:
         return INFINITE
-    deco = interval_decomposition(u, n)
+    deco = interval_decomposition(u)
     best = 0
     num = den = 0
     for length, gap in zip(deco.lengths, deco.gaps):
@@ -137,7 +135,7 @@ def lambda_value_witness(d: int, i: int) -> tuple[SquarefreeMonomial, int]:
     u = SquarefreeMonomial(GroundSet.contiguous(n), tuple(sorted(set(labels))))
     if u.degree != d:
         raise AssertionError(f"witness {u} has degree {u.degree}, not {d}")
-    if lambda_max_ideal(u, n) != i:
+    if lambda_max_ideal(u) != i:
         raise AssertionError(f"witness {u} does not attain lambda = {i}")
     return u, n
 
@@ -155,9 +153,7 @@ def cover_positions(A: VariableSubset, u: SquarefreeMonomial) -> tuple[int | Non
     return tuple(out)
 
 
-def stable_membership_combinatorial(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> bool:
+def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     """Membership of ``P_A`` in the stable set, without computing ``u_A``'s
     min and max directly.
 
@@ -171,7 +167,7 @@ def stable_membership_combinatorial(
     i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
     the support indices up to the top and ``l`` is :func:`cover_positions`.
     """
-    _require_contiguous(u, n)
+    _require_contiguous(u)
     local = localize_closed_form(u, A)
     if local.is_unit_ideal:
         return False
@@ -199,12 +195,10 @@ def stable_membership_combinatorial(
     return True
 
 
-def lambda_of_prime(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> int | float:
+def lambda_of_prime(u: SquarefreeMonomial, A: VariableSubset) -> int | float:
     """Least power with ``P_A`` associated: the maximal-ideal index of the
     localized generator, relabeled onto contiguous variables."""
-    _require_contiguous(u, n)
+    _require_contiguous(u)
     return _local_lambda(localize_closed_form(u, A))
 
 
@@ -232,7 +226,7 @@ class StableSetEntry:
 
 def stable_set_enumerate(
     u: SquarefreeMonomial,
-    n: int | None = None,
+    *,
     members_only: bool = False,
     enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> list[StableSetEntry]:
@@ -242,7 +236,7 @@ def stable_set_enumerate(
     subset is a member exactly when its index is finite, and the
     combinatorial route must agree with every such verdict.
     """
-    n = _require_contiguous(u, n)
+    n = _require_contiguous(u)
     if n > enumeration_bound:
         raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
     entries: list[StableSetEntry] = []
@@ -253,7 +247,7 @@ def stable_set_enumerate(
             local = localize_closed_form(u, A)
             lam = _local_lambda(local)
             member = lam != INFINITE
-            combinatorial = stable_membership_combinatorial(u, A, n)
+            combinatorial = stable_membership_combinatorial(u, A)
             if member != combinatorial:
                 raise AssertionError(
                     f"membership routes disagree at u={u}, A={combo}: "

@@ -104,11 +104,9 @@ def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     return True
 
 
-def stable_membership_direct(
-    u: SquarefreeMonomial, A: VariableSubset, n: int | None = None
-) -> bool:
+def stable_membership_direct(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     """Membership of ``P_A`` in the stable set: its index is finite."""
-    return lambda_of_prime(u, A, n) != INFINITE
+    return lambda_of_prime(u, A) != INFINITE
 
 
 def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:

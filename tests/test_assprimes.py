@@ -266,7 +266,7 @@ class TestCrossValidate:
             finite = [
                 lam
                 for members in all_subsets(n)
-                if (lam := lambda_of_prime(u, VariableSubset(u.ground, members), n))
+                if (lam := lambda_of_prime(u, VariableSubset(u.ground, members)))
                 != math.inf
             ]
             report = cross_validate(u, kmax=max(finite) + 1, ceiling=ceiling)

@@ -15,9 +15,11 @@ from borelstab.cli import run
 DATA = Path(__file__).parent / "data"
 
 # Table and JSON output of power, colon-profile, localize and expand,
-# captured before monomials were stored as exponent vectors; and JSON output
-# of stable-set, ass, persist, validate, lambda and ever-associated, which
-# pins every jsonio encoder byte for byte.
+# captured before monomials were stored as exponent vectors; JSON output of
+# stable-set, ass, persist, validate, lambda and ever-associated, which pins
+# every jsonio encoder byte for byte; table output of those six verbs and of
+# the table alias; and error paths, each with its exit code and stderr
+# (``exit`` and ``stderr`` default to 0 and "").
 CLI_GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 
@@ -201,6 +203,17 @@ class TestExitCodes:
         code, out, err = invoke(["power", "--u", "2", "--vars", labels, "--k", "1"])
         assert code == 2 and out == "" and f"usage error: malformed --vars '{labels}'" in err
 
+    @pytest.mark.parametrize("labels", ["1,2,3", ""])
+    def test_usage_error_on_both_n_and_vars(self, labels, capsys):
+        # each alone is a different ground set: n = 5 gives inf, vars 1,2,3 gives 2
+        code, out, _ = invoke(["lambda", "--u", "2,3", "--n", "5", "--vars", labels])
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_usage_error_on_empty_vars(self):
+        code, out, err = invoke(["lambda", "--u", "2,3", "--vars", ""])
+        assert (code, out) == (2, "") and "usage error: malformed --vars ''" in err
+
     def test_cell_ceiling_caps_the_box(self):
         # I^2 has only 210 generators but a box of 3^20 cells
         code, _, err = invoke(["ass", "--u", "20", "--n", "20", "--kmax", "2"])
@@ -217,7 +230,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("golden", CLI_GOLDENS, ids=lambda g: g["argv"])
     def test_cli_golden(self, golden):
-        assert invoke(golden["argv"].split()) == (0, golden["stdout"], "")
+        expected = (golden.get("exit", 0), golden["stdout"], golden.get("stderr", ""))
+        assert invoke(golden["argv"].split()) == expected
 
     @pytest.mark.parametrize(
         "argv",

@@ -290,6 +290,6 @@ class TestStableSetEnumerate:
         # an explicit raise, not an assert, so it also holds under python -O
         from borelstab import stability
 
-        monkeypatch.setattr(stability, "stable_membership_combinatorial", lambda u, A, n: False)
+        monkeypatch.setattr(stability, "stable_membership_combinatorial", lambda u, A: False)
         with pytest.raises(AssertionError, match="membership routes disagree"):
             stable_set_enumerate(sf(g3, 2, 3))
