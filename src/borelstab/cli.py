@@ -133,8 +133,6 @@ def _cmd_max_ideal(args, ground):
 
 
 def _cmd_stable_set(args, ground):
-    if not ground.is_contiguous:
-        raise ValueError("stable-set needs contiguous variables; use --n")
     u = _usage(parse_squarefree, args.u, ground)
     entries = stability.stable_set_enumerate(
         u, members_only=not args.all, enumeration_bound=args.max_n

@@ -203,13 +203,6 @@ class SquarefreeMonomial:
     def __str__(self) -> str:
         return str(self.to_monomial())
 
-    def relabel_contiguous(self) -> SquarefreeMonomial:
-        """Map the ground set order-isomorphically onto ``1..n`` and carry
-        the support along; positions in the old ground set become labels."""
-        new_ground = GroundSet.contiguous(len(self.ground))
-        new_idx = tuple(self.ground.position(i) + 1 for i in self.indices)
-        return SquarefreeMonomial(new_ground, new_idx)
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:

@@ -8,9 +8,10 @@ of a squarefree principal Borel ideal, each colon ideal
 
 The largest such variable count is ``q``; the depth of the quotient ring
 is then ``n - q - 1``, and the maximal ideal is associated exactly when
-``q = n - 1``.  The formula's validity domain is exactly this generator
-class, so the entry points here construct the generator list themselves
-from a squarefree generator.  ``q``, the depth and the depth-zero flag are
+``q = n - 1``.  Indices are positions in the ground set, so any ground
+set works.  The formula's validity domain is exactly this generator class,
+so the entry points here construct the generator list themselves from a
+squarefree generator.  ``q``, the depth and the depth-zero flag are
 read off one :func:`quotient_profile`.
 
 :func:`depth_zero_witness` has no caller in the package.  It stays as the
@@ -50,8 +51,6 @@ class QuotientProfile:
 def _power_profile(u: SquarefreeMonomial, k: int) -> tuple[MonomialIdeal, QuotientProfile]:
     """The k-th power, built once, and its profile."""
     ground = u.ground
-    if not ground.is_contiguous:
-        raise ValueError("quotient profile needs contiguous labels 1..n")
     n = len(ground)
     J = power_generators(u, k)
     sets = [frozenset()]
@@ -71,10 +70,12 @@ def quotient_profile(u: SquarefreeMonomial, k: int) -> QuotientProfile:
 
 
 def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
-    """A generator of the k-th power whose colon set uses all of ``1..n-1``.
+    """A generator of the k-th power whose colon set uses every variable
+    but the last.
 
-    Exists for ``u = x_{i_1} ... x_{i_r} x_n`` with ``min(u) > 1``,
-    ``max(u) = n`` and ``k > r`` (``r = deg(u) - 1``):
+    Exists for ``u = x_{i_1} ... x_{i_r} x_n`` that avoids the first
+    variable ``x_1`` and contains the last ``x_n`` of its ground set, and
+    ``k > r`` (``r = deg(u) - 1``):
 
         x_1^r * x_{i_1}^{k-1} * ... * x_{i_r}^{k-1} * x_n^k
 
@@ -82,17 +83,15 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     asserted before returning.
     """
     ground = u.ground
-    if not ground.is_contiguous:
-        raise ValueError("witness construction needs contiguous labels 1..n")
     n = len(ground)
-    if u.min_index <= 1 or u.max_index != n:
-        raise ValueError(f"need min(u) > 1 and max(u) = {n}, got {u}")
+    if u.min_index == ground.indices[0] or u.max_index != ground.indices[-1]:
+        raise ValueError(f"need u without the first variable and with the last, got {u}")
     r = u.degree - 1
     if k <= r:
         raise ValueError(f"need k > deg(u) - 1 = {r}, got k={k}")
     vec = [0] * n
     for i in u.indices[:-1]:
-        vec[i - 1] = k - 1
+        vec[ground.position(i)] = k - 1
     vec[0] += r
     vec[n - 1] = k
     witness = Monomial(ground, vec)

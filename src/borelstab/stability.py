@@ -1,10 +1,13 @@
 """Stability indices and the stable set of associated primes.
 
-For a squarefree principal Borel ideal with generator ``u`` over ``1..n``
-the maximal ideal is eventually associated iff ``min(u) > 1`` and
-``max(u) = n``.  When it is, the least power is read off the interval
-decomposition of the support: with block lengths ``l_j`` and gap lengths
-``gap_j``,
+Every index here depends only on where the support of ``u`` sits in its
+ground set: an order-preserving relabeling of the variables carries the
+expansion of ``u`` to the expansion of the relabeled generator.  So the
+formulas read the 1-based positions of the support, and any ground set
+works.  The maximal ideal is eventually associated iff the support avoids
+the first variable and contains the last.  When it is, the least power is
+read off the interval decomposition of the support positions: with block
+lengths ``l_j`` and gap lengths ``gap_j``,
 
     lambda = max_j  ceil( (l_1+...+l_j) / (gap_1+...+gap_j) ) + 1.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .localization import LocalizedGenerator, VariableSubset, localize_closed_form
@@ -42,51 +45,54 @@ INFINITE = math.inf
 DEFAULT_ENUMERATION_BOUND = 12  # stable_set_enumerate walks all 2^n subsets
 
 
-def _require_contiguous(u: SquarefreeMonomial) -> int:
-    """``n``, read off the ground set of ``u``, which must be ``1..n``."""
-    if not u.ground.is_contiguous:
-        raise ValueError("interval combinatorics needs contiguous labels 1..n")
-    return len(u.ground)
+def _runs(indices, ground) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Maximal runs of consecutive 1-based positions of the labels
+    ``indices`` in the sorted labels ``ground``, the last run ending at the
+    last position, with their recorded lengths and the gaps before them."""
+    pos = [bisect_left(ground, i) + 1 for i in indices]
+    runs: list[tuple[int, int]] = []
+    start = prev = pos[0]
+    for p in pos[1:]:
+        if p != prev + 1:
+            runs.append((start, prev))
+            start = p
+        prev = p
+    runs.append((start, prev))
+    lengths = [b - a + 1 for a, b in runs]
+    lengths[-1] = len(ground) - start
+    gaps = [runs[0][0] - 1]
+    gaps += [a - pb - 1 for (_, pb), (a, _) in zip(runs, runs[1:])]
+    if sum(lengths) != len(pos) - 1:
+        raise AssertionError(f"interval lengths of {indices} do not sum to deg - 1")
+    return runs, lengths, gaps
 
 
 @dataclass(frozen=True)
 class IntervalDecomposition:
-    """Maximal consecutive blocks of the support of ``u`` (with ``n`` last).
+    """Maximal blocks of consecutive variables in the support of ``u``
+    (which contains the last variable).
 
-    ``lengths[j]`` is the block length for all but the last block, whose
-    recorded length is one less (``n - a_m``); ``gaps[j]`` is the free
-    space before block ``j``.  The recorded lengths add up to ``d - 1``.
+    ``blocks`` holds the first and last label of each block; lengths and
+    gaps count ground-set positions.  ``lengths[j]`` is the block length
+    for all but the last block, whose recorded length is one less (the
+    positions after its first); ``gaps[j]`` is the free space before block
+    ``j``.  The recorded lengths add up to ``d - 1``.
     """
 
-    n: int
     blocks: tuple[tuple[int, int], ...]
     lengths: tuple[int, ...]
     gaps: tuple[int, ...]
 
 
 def interval_decomposition(u: SquarefreeMonomial) -> IntervalDecomposition:
-    """Decompose the support of ``u`` into maximal runs; needs ``max(u) = n``."""
-    n = _require_contiguous(u)
-    if u.max_index != n:
-        raise ValueError(f"max(u) = {u.max_index} but the ground set tops out at {n}")
-    blocks: list[tuple[int, int]] = []
-    start = prev = u.indices[0]
-    for i in u.indices[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        blocks.append((start, prev))
-        start = prev = i
-    blocks.append((start, prev))
-
-    lengths = [b - a + 1 for a, b in blocks]
-    lengths[-1] = n - blocks[-1][0]
-    gaps = [blocks[0][0] - 1]
-    gaps += [a - pb - 1 for (_, pb), (a, _) in zip(blocks, blocks[1:])]
-    deco = IntervalDecomposition(n, tuple(blocks), tuple(lengths), tuple(gaps))
-    if sum(deco.lengths) != u.degree - 1:
-        raise AssertionError(f"interval lengths of {u} do not sum to deg(u) - 1")
-    return deco
+    """Decompose the support of ``u`` into maximal runs; needs the last
+    variable of the ground set in the support."""
+    labels = u.ground.indices
+    if u.max_index != labels[-1]:
+        raise ValueError(f"max(u) = {u.max_index} but the ground set tops out at {labels[-1]}")
+    runs, lengths, gaps = _runs(u.indices, labels)
+    blocks = tuple((labels[a - 1], labels[b - 1]) for a, b in runs)
+    return IntervalDecomposition(blocks, tuple(lengths), tuple(gaps))
 
 
 def ever_associated(u: SquarefreeMonomial) -> bool:
@@ -103,15 +109,22 @@ def lambda_max_ideal(u: SquarefreeMonomial) -> int | float:
     in degree at most 2 it equals ``deg u`` whenever it is finite, so also
     at ``x_a x_n`` for ``3 <= a < n`` (acceptance criterion 3).
     """
-    n = _require_contiguous(u)
-    if n == 1:
-        return 1
-    if u.min_index == 1 or u.max_index < n:
+    return _lambda(u.indices, u.ground.indices)
+
+
+def _lambda(indices, ground) -> int | float:
+    """:func:`lambda_max_ideal` of the support ``indices`` over the sorted
+    labels ``ground``; inf when ``indices`` is empty (the whole ring)."""
+    if not indices:
         return INFINITE
-    deco = interval_decomposition(u)
+    if len(ground) == 1:
+        return 1
+    if indices[0] == ground[0] or indices[-1] != ground[-1]:
+        return INFINITE
+    _, lengths, gaps = _runs(indices, ground)
     best = 0
     num = den = 0
-    for length, gap in zip(deco.lengths, deco.gaps):
+    for length, gap in zip(lengths, gaps):
         num += length
         den += gap
         if den < 1:
@@ -158,8 +171,9 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     min and max directly.
 
     Condition (i), min above the floor: with ``run`` the length of the
-    generator's leading run ``1, 2, ...`` (``d`` when all of ``u`` is one),
-    the first ``run`` elements of ``A`` must be exactly ``1, 2, ...``.
+    generator's leading run at positions ``1, 2, ...`` of the ground set
+    (``d`` when all of ``u`` is one), the first ``run`` elements of ``A``
+    must be exactly the first ``run`` variables.
     Condition (ii), max reaching the ceiling: the largest outside variable
     must itself be a support index, and striking the head of ``A`` (its
     elements below that variable; the rest of ``A`` is the run capping the
@@ -167,19 +181,19 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
     the support indices up to the top and ``l`` is :func:`cover_positions`.
     """
-    _require_contiguous(u)
     local = localize_closed_form(u, A)
     if local.is_unit_ideal:
         return False
     if len(local.ground) == 1:
         return local.indices == local.ground
 
+    labels = u.ground.indices
     run = 0
     for pos, label in enumerate(u.indices):
-        if label != pos + 1:
+        if label != labels[pos]:
             break
         run = pos + 1
-    if run > A.size or A.members[:run] != tuple(range(1, run + 1)):
+    if run > A.size or A.members[:run] != labels[:run]:
         return False
 
     max_outside = A.complement[-1]
@@ -197,24 +211,17 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
 
 def lambda_of_prime(u: SquarefreeMonomial, A: VariableSubset) -> int | float:
     """Least power with ``P_A`` associated: the maximal-ideal index of the
-    localized generator, relabeled onto contiguous variables."""
-    _require_contiguous(u)
-    return _local_lambda(localize_closed_form(u, A))
-
-
-def _local_lambda(local: LocalizedGenerator) -> int | float:
-    if local.is_unit_ideal:
-        return INFINITE
-    return lambda_max_ideal(local.as_squarefree().relabel_contiguous())
+    localized generator, read off its positions in the complement of ``A``."""
+    local = localize_closed_form(u, A)
+    return _lambda(local.indices, local.ground)
 
 
 @dataclass(frozen=True)
 class StableSetEntry:
     """One subset ``A`` with its localized generator and membership data.
 
-    ``prime`` lists the generator labels of ``P_A`` (the complement of
-    ``A``); its positions also record the order isomorphism used to
-    relabel the localized ring when evaluating the stability index.
+    ``prime`` lists the generator labels of ``P_A``: the complement of
+    ``A``, which is also the ground set of the localized ring.
     """
 
     subset: tuple[int, ...]
@@ -236,7 +243,7 @@ def stable_set_enumerate(
     subset is a member exactly when its index is finite, and the
     combinatorial route must agree with every such verdict.
     """
-    n = _require_contiguous(u)
+    n = len(u.ground)
     if n > enumeration_bound:
         raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
     entries: list[StableSetEntry] = []
@@ -245,7 +252,7 @@ def stable_set_enumerate(
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
             local = localize_closed_form(u, A)
-            lam = _local_lambda(local)
+            lam = _lambda(local.indices, local.ground)
             member = lam != INFINITE
             combinatorial = stable_membership_combinatorial(u, A)
             if member != combinatorial:

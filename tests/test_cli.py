@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,72 @@ class TestVerbs:
     def test_validate(self):
         code, out, _ = invoke(["validate", "--u", "2,3", "--n", "3", "--kmax", "2"])
         assert code == 0 and "checks passed" in out
+
+
+# JSON fields that hold variable labels: dicts keyed by label, and (nested)
+# lists of labels
+LABEL_KEYED = {"u", "uA", "witness"}
+LABEL_LISTS = {"A", "prime", "primes", "colon_sets"}
+
+
+def relabeled(obj, labels, key=None):
+    """A verb's JSON with every label ``i`` replaced by ``labels[i - 1]``."""
+    if isinstance(obj, dict):
+        if key in LABEL_KEYED:
+            return {str(labels[int(i) - 1]): e for i, e in obj.items()}
+        return {k: relabeled(v, labels, k) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [relabeled(v, labels, key) for v in obj]
+    if key in LABEL_LISTS:
+        return labels[obj - 1]
+    return obj
+
+
+def relabel_cases():
+    """Seeded generators with n <= 5, each with an order-preserving
+    relabeling of 1..n onto labels that are not 1..n."""
+    rng = random.Random(16)
+    cases = []
+    for n in (2, 3, 3, 4, 4, 5, 5, 5):
+        support = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        labels = list(range(1, n + 1))
+        while labels == list(range(1, n + 1)):
+            labels = sorted(rng.sample(range(1, 3 * n), n))
+        cases.append((n, support, labels))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["lambda"],
+        ["ever-associated"],
+        ["colon-profile", "--k", "3"],
+        ["stable-set", "--all"],
+        ["ass", "--kmax", "3"],
+        ["persist", "--kmax", "3"],
+        ["validate", "--kmax", "3"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_relabeled_ground_gives_relabeled_answer(verb):
+    # an order-preserving relabeling of the variables carries the expansion
+    # of u to the expansion of the relabeled u, so every verb answers on
+    # --vars exactly as on --n, with labels mapped
+    cases = relabel_cases()
+    finite = 0
+    for n, support, labels in cases:
+        u = ",".join(map(str, support))
+        mapped = ",".join(str(labels[i - 1]) for i in support)
+        code, out, err = invoke([*verb, "--u", u, "--n", str(n), "--format", "json"])
+        expected = (code, relabeled(json.loads(out), labels), err)
+        vars_ = ",".join(map(str, labels))
+        code, out, err = invoke([*verb, "--u", mapped, "--vars", vars_, "--format", "json"])
+        assert (code, json.loads(out), err) == expected, (verb, u, labels)
+        if verb == ["lambda"]:
+            finite += json.loads(out)["lambda"] != "inf"
+    # the seed covers finite and infinite indices
+    assert verb != ["lambda"] or 0 < finite < len(cases)
 
 
 class TestExitCodes:

@@ -11,7 +11,6 @@ from borelstab import (
     GroundSetMismatch,
     Monomial,
     MonomialIdeal,
-    SquarefreeMonomial,
     colon,
     expand_squarefree,
     ideal_power,
@@ -299,10 +298,3 @@ def test_expansion_count_matches_direct_enumeration():
             )
             assert len(expand_squarefree(u).generators) == count
 
-
-def test_relabel_contiguous():
-    g = GroundSet((2, 4, 5))
-    u = SquarefreeMonomial(g, (4, 5))
-    v = u.relabel_contiguous()
-    assert v.ground == GroundSet.contiguous(3)
-    assert v.indices == (2, 3)

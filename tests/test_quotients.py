@@ -1,10 +1,13 @@
 """The colon-variable formula against brute-force colons, q, depth and the
 depth-zero witness."""
 
+import random
+
 import pytest
 
 from borelstab import (
     GroundSet,
+    Monomial,
     colon,
     depth_zero_witness,
     expand_squarefree,
@@ -151,6 +154,24 @@ def test_witness_checked_by_moves_and_brute_colon():
                 brute = colon(before, witness)
                 assert all(m.degree == 1 for m in brute.generators), (u, k)
                 assert len(brute.generators) == n - 1, (u, k)
+                checked += 1
+    assert checked == 28, checked
+
+
+def test_witness_on_relabeled_ground():
+    # on any ground set the witness is the one over 1..n with labels mapped:
+    # the same exponent vector, aligned with the relabeled ground set
+    rng = random.Random(16)
+    checked = 0
+    for n in range(2, 6):
+        labels = GroundSet(tuple(sorted(rng.sample(range(2, 3 * n), n))))
+        for u in all_squarefree(n):
+            if u.min_index <= 1 or u.max_index != n:
+                continue
+            v = sf(labels, *(labels.indices[i - 1] for i in u.indices))
+            for k in range(u.degree, 4):
+                expected = Monomial(labels, depth_zero_witness(u, k).vector)
+                assert depth_zero_witness(v, k) == expected, (u, k)
                 checked += 1
     assert checked == 28, checked
 

@@ -49,6 +49,13 @@ class TestIntervalDecomposition:
         assert deco.lengths == (1, 2)
         assert deco.gaps == (0, 1)
 
+    def test_blocks_are_labels_and_lengths_are_positions(self):
+        g = GroundSet((2, 3, 5, 7))
+        deco = interval_decomposition(sf(g, 3, 5, 7))
+        assert (deco.blocks, deco.lengths, deco.gaps) == (((3, 7),), (2,), (1,))
+        deco = interval_decomposition(sf(g, 3, 7))
+        assert (deco.blocks, deco.lengths, deco.gaps) == (((3, 3), (7, 7)), (1, 0), (1, 1))
+
     def test_needs_top_variable(self, g5):
         with pytest.raises(ValueError):
             interval_decomposition(sf(g5, 2, 3))
