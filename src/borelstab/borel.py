@@ -22,7 +22,10 @@ suffix lists keyed by ``(position i, prefix sum s before it)``.  With
 the entry ``e`` at ``i`` runs from ``min(c, D - s)`` down to
 ``max(0, W_i - s)``, and the row of ``(i, s)`` is ``(e,) + t`` for each
 such ``e`` and each suffix ``t`` in the row of ``(i + 1, s + e)``.  Past
-the last position the only row is that of ``D``: the empty suffix.  The
+the last nonzero position of ``w`` every prefix sum has reached ``D``, so
+every entry there is zero: the table starts right after that position,
+with the one row of ``D``, the zero suffix, and the trailing zeros cost
+no step of the walk.  The
 table holds the sums ``s`` in ``[W_(i-1), min(D, c * i)]``, exactly those
 a valid prefix of length ``i`` can reach (fill it up to ``c`` per entry
 until the sum is ``s``).  No such row is empty: filling each later
@@ -42,6 +45,7 @@ stability and the recognition of a principal Borel ideal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from operator import ge, le
 
@@ -65,8 +69,9 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     decreasing lex order, from the suffix table of the module docstring."""
     bounds = list(accumulate(w))
     degree = bounds[-1]
-    tails = {degree: [()]}
-    for i in range(len(w) - 1, -1, -1):
+    end = bisect_left(bounds, degree) + 1
+    tails = {degree: [(0,) * (len(w) - end)]}
+    for i in range(end - 1, -1, -1):
         floor = bounds[i - 1] if i else 0
         tails = {
             s: [

@@ -12,7 +12,10 @@ its positional constructor ``Monomial(ground, vector)``, by
 :func:`parse_monomial`, and read through ``vector``, ``exps``, ``degree``,
 ``support`` and ``str``.  Ideal arithmetic never multiplies or divides
 ``Monomial`` values: every kernel reads and builds the exponent vectors of
-a :class:`MonomialIdeal`, whose ``in`` is the membership test.
+a :class:`MonomialIdeal`, whose ``in`` is the membership test.  Each
+ideal checks its generators in bulk, a few C-level passes over the whole
+list, and falls back to a check of one generator at a time only to name
+the first bad one.
 
 ``Monomial.exponent_vector`` and ``MonomialIdeal.generator_vectors`` have
 no caller in the package; they stay because the benchmark under ``bench/``
@@ -215,7 +218,9 @@ class MonomialIdeal:
     The zero ideal has no generators, the unit ideal the zero vector.
 
     Every ideal makes one pass, :func:`_ideal_vectors`: the generators are
-    checked and :func:`_minimal_vectors` runs once.  A caller's own list
+    checked in bulk (types, ground sets, lengths and the least entry, each
+    over the whole list) and :func:`_minimal_vectors` runs once.  There is
+    no unchecked path, for kernel vectors either.  A caller's own list
     must already be minimal, and a repeated generator, or one another
     divides, is rejected.  The kernels (:func:`minimalize`, :func:`colon`,
     :func:`saturate`, :func:`_powers`) hand their raw vectors to the same
@@ -266,19 +271,35 @@ class _Unreduced(list):
     refusing the list."""
 
 
-def _checked_generator(ground: GroundSet, g) -> tuple[int, ...]:
-    if isinstance(g, Monomial):
-        if g.ground != ground:
-            raise GroundSetMismatch("generator over a different ground set")
-        return g.vector
-    return _checked_vector(ground, g)
-
-
 def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
-    """The one pass of every :class:`MonomialIdeal`: check each generator,
+    """The one pass of every :class:`MonomialIdeal`: check the generators,
     then run :func:`_minimal_vectors` once.  Only an :class:`_Unreduced`
-    list may shrink; any other list must already be minimal."""
-    vecs = [_checked_generator(ground, g) for g in gens]
+    list may shrink; any other list must already be minimal.
+
+    The check costs a few passes over the whole list at C level, not
+    Python calls per generator: the set of generator types, then, only
+    when some generator is not a tuple (a ``Monomial`` or a list), its
+    ground set and its vector; the set of lengths; and the least entry.
+    Only when one of those tests fails is each generator checked in
+    order, so that the first bad one names the error.
+    """
+    if not isinstance(gens, (list, tuple)):
+        gens = list(gens)
+    vecs = gens
+    foreign = False
+    if set(map(type, gens)) - {tuple}:  # a Monomial, a list, ...
+        foreign = any(type(g) is Monomial and g.ground != ground for g in gens)
+        vecs = [g.vector if type(g) is Monomial else tuple(g) for g in gens]
+    if (
+        foreign
+        or set(map(len, vecs)) - {len(ground.indices)}
+        or min(itertools.chain.from_iterable(vecs), default=0) < 0
+    ):
+        for g in gens:
+            if type(g) is not Monomial:
+                _checked_vector(ground, g)
+            elif g.ground != ground:
+                raise GroundSetMismatch("generator over a different ground set")
     kept = _minimal_vectors(vecs)
     redundant = len(vecs) - len(kept)
     if redundant and not isinstance(gens, _Unreduced):

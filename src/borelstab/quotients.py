@@ -14,6 +14,12 @@ so the entry points here construct the generator list themselves from a
 squarefree generator.  ``q``, the depth and the depth-zero flag are
 read off one :func:`quotient_profile`.
 
+One function, :func:`_colon_sets`, computes the colon sets, for
+:func:`quotient_profile` and :func:`depth_zero_witness` alike.  Within one
+profile the generators with equal colon sets share one frozenset, built
+once from a byte key per generator: the 729 generators of
+``(x2x5x7x8)^2`` over n = 8 have 94 distinct colon sets.
+
 :func:`depth_zero_witness` has no caller in the package.  It stays as the
 explicit depth-zero generator of the construction, which the benchmark
 times and the tests check.
@@ -22,18 +28,29 @@ times and the tests check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .borel import is_power_generator, power_generators
 from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
 
 
-def _colon_variables(labels, vec, cap: int) -> frozenset[int]:
-    """The labels before the last one in the support of ``vec`` whose
-    exponent is not ``cap``."""
-    top = len(vec) - 1
-    while not vec[top]:
-        top -= 1
-    return frozenset([labels[j] for j in range(top) if vec[j] != cap])
+def _colon_sets(labels, vectors, cap: int) -> list[frozenset[int]]:
+    """The colon set of each vector: the labels before the last one in its
+    support whose exponent is not ``cap``.
+
+    The sets are built per distinct key, not per vector, so vectors with
+    equal colon sets share one frozenset.  A vector's key has the byte 1
+    at each position below its top that is not at the cap and 0 elsewhere,
+    with trailing zero bytes stripped: equal sets have equal keys.
+    """
+    if cap > 255:  # bytes() holds 0..255: keep only zero, at the cap, or neither
+        vectors = [tuple(2 if e == cap else min(e, 1) for e in v) for v in vectors]
+        cap = 2
+    below_cap = bytearray(b"\1" * 256)
+    below_cap[cap] = 0
+    keys = [bytes(v).rstrip(b"\0")[:-1].translate(below_cap).rstrip(b"\0") for v in vectors]
+    shared = {key: frozenset(compress(labels, key)) for key in set(keys)}
+    return list(map(shared.__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -53,9 +70,8 @@ def _power_profile(u: SquarefreeMonomial, k: int) -> tuple[MonomialIdeal, Quotie
     ground = u.ground
     n = len(ground)
     J = power_generators(u, k)
-    sets = [frozenset()]
-    sets += [_colon_variables(ground.indices, g, k) for g in J.vectors[1:]]
-    q = max(len(s) for s in sets)
+    sets = _colon_sets(ground.indices, J.vectors, k)
+    q = max(map(len, sets))
     if q >= n:
         raise AssertionError("colon sets live below max(u_i), so q must stay below n")
     profile = QuotientProfile(
@@ -97,7 +113,7 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     witness = Monomial(ground, vec)
     if not is_power_generator(witness, u, k):
         raise AssertionError("witness fails the membership test")
-    if len(_colon_variables(ground.indices, witness.vector, k)) != n - 1:
+    if len(_colon_sets(ground.indices, [witness.vector], k)[0]) != n - 1:
         raise AssertionError("witness colon set is not of size n - 1")
     return witness
 

@@ -27,7 +27,7 @@ from borelstab import (
     minimalize,
 )
 from borelstab.borel import borel_moves
-from borelstab.quotients import _colon_variables
+from borelstab.quotients import _colon_sets
 
 
 def sf(ground: GroundSet, *indices: int) -> SquarefreeMonomial:
@@ -77,7 +77,7 @@ def linear_quotient_set(gens, i: int, cap: int) -> frozenset[int]:
         raise ValueError("generators not sorted in strictly decreasing lex order")
     if i == 1:
         return frozenset()
-    return _colon_variables(gens[i - 1].ground.indices, gens[i - 1].vector, cap)
+    return _colon_sets(gens[i - 1].ground.indices, [gens[i - 1].vector], cap)[0]
 
 
 def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:

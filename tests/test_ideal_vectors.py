@@ -34,6 +34,7 @@ def test_constructor_accepts_vectors():
     assert J == MonomialIdeal(g, (Monomial(g, (0, 1, 0)), Monomial(g, (1, 0, 3))))
     assert J.generators == (Monomial(g, (1, 0, 3)), Monomial(g, (0, 1, 0)))
     assert MonomialIdeal(g, [(0, 1, 0), Monomial(g, (1, 0, 3))]) == J
+    assert MonomialIdeal(g, (v for v in [(0, 1, 0), (1, 0, 3)])) == J  # read once
 
 
 @pytest.mark.parametrize("vec", [(1, 2), (1, 2, 3, 4), (1, -1, 0)])
@@ -66,6 +67,57 @@ def test_direct_construction_messages(gens, message):
         MonomialIdeal(GroundSet.contiguous(3), gens)
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+LONG_N8 = "(1, 2, 3, 4, 5, 6, 7, 8)"
+# the messages of BAD_GENERATOR_LISTS, each bad list lifted to n = 8 by
+# five trailing zeros and appended to the 3,225 generators of
+# (x2x4x6x8)^3 over n = 8
+LONG_LIST_MESSAGES = [
+    "non-minimal generating set: 2934 of 3227 generators redundant",
+    "non-minimal generating set: 2934 of 3227 generators redundant",
+    "non-minimal generating set: 2936 of 3229 generators redundant",
+    "non-minimal generating set: 3226 of 3227 generators redundant",
+    f"(1, 0, 0, 0, 0, 0, 0) does not match the ground set {LONG_N8}",
+    f"(1, 0, 0, 0, 0, 0, 0, 0, 0) does not match the ground set {LONG_N8}",
+    "negative exponent in (1, -1, 0, 0, 0, 0, 0, 0)",
+    "negative exponent in (1, -1, 0, 0, 0, 0, 0, 0)",
+    f"(1, 0, 0, 0, 0, 0, 0) does not match the ground set {LONG_N8}",
+]
+
+
+@pytest.fixture(scope="module")
+def long_vectors():
+    return list(power_generators(sf(GroundSet.contiguous(8), 2, 4, 6, 8), 3).vectors)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(gens, message) for (gens, _), message in zip(BAD_GENERATOR_LISTS, LONG_LIST_MESSAGES)],
+)
+def test_long_list_messages(long_vectors, bad, message):
+    """The bulk check of a long list names the same first bad generator as
+    a generator-by-generator check would."""
+    assert len(long_vectors) == 3225
+    lifted = [v + type(v)((0,) * 5) for v in bad]
+    with pytest.raises(ValueError) as caught:
+        MonomialIdeal(GroundSet.contiguous(8), long_vectors + lifted)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def test_long_list_repeat_and_other_ground(long_vectors):
+    g8 = GroundSet.contiguous(8)
+    with pytest.raises(ValueError) as caught:
+        MonomialIdeal(g8, long_vectors + long_vectors[-1:])
+    assert str(caught.value) == "non-minimal generating set: 1 of 3226 generators redundant"
+    other = Monomial(GroundSet((1, 2, 3, 4, 5, 6, 7, 9)), (1,) * 8)
+    with pytest.raises(GroundSetMismatch, match="generator over a different ground set"):
+        MonomialIdeal(g8, long_vectors + [other])
+    as_monomials = [Monomial(g8, v) for v in long_vectors]
+    with pytest.raises(ValueError, match=r"^\(1, 1, 1, 1, 1, 1, 1\) does not match"):
+        MonomialIdeal(g8, as_monomials + [(1,) * 7])
+    assert MonomialIdeal(g8, as_monomials).vectors == tuple(long_vectors)
 
 
 def test_direct_construction_rejects_other_ground():

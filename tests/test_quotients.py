@@ -17,7 +17,7 @@ from borelstab import (
     power_generators,
     quotient_profile,
 )
-from borelstab.quotients import _colon_variables
+from borelstab.quotients import _colon_sets
 from conftest import (
     all_squarefree,
     closure_by_moves,
@@ -200,22 +200,36 @@ def _colon_variables_by_max(labels, vec, cap):
 
 
 def test_colon_variables_equal_max_formula():
+    """The production path, ``quotient_profile``, and the one colon-set
+    function both give the first-written formula, generator by generator,
+    and equal colon sets within one profile are one shared object."""
     checked = witnesses = 0
     for n in range(1, 8):
         for u in all_squarefree(n):
             labels = u.ground.indices
             for k in (1, 2, 3):
-                for vec in power_generators(u, k).vectors:
-                    assert _colon_variables(labels, vec, k) == _colon_variables_by_max(
-                        labels, vec, k
-                    ), (u, k, vec)
-                    checked += 1
+                vecs = power_generators(u, k).vectors
+                expected = [_colon_variables_by_max(labels, vec, k) for vec in vecs]
+                sets = quotient_profile(u, k).colon_sets
+                assert list(sets) == expected, (u, k)
+                assert _colon_sets(labels, vecs, k) == expected, (u, k)
+                assert len(set(map(id, sets))) == len(set(sets)), (u, k)
+                checked += len(vecs)
             if u.min_index <= 1 or u.max_index != n:
                 continue
             for k in range(u.degree, 6):
                 vec = depth_zero_witness(u, k).vector
-                assert _colon_variables(labels, vec, k) == _colon_variables_by_max(
-                    labels, vec, k
-                ), (u, k)
+                expected = [_colon_variables_by_max(labels, vec, k)]
+                assert _colon_sets(labels, [vec], k) == expected, (u, k)
                 witnesses += 1
     assert checked == 60942 and witnesses == 186, (checked, witnesses)
+
+
+@pytest.mark.parametrize("k", [255, 256, 300])
+def test_colon_sets_with_exponents_past_a_byte(k):
+    """Caps above 255 do not fit a byte; the colon sets must not change."""
+    g = GroundSet((2, 5, 7))
+    for u in (sf(g, 5), sf(g, 2, 7)):
+        vecs = power_generators(u, k).vectors
+        expected = [_colon_variables_by_max(g.indices, vec, k) for vec in vecs]
+        assert list(quotient_profile(u, k).colon_sets) == expected, (u, k)
