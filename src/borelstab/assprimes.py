@@ -19,7 +19,11 @@ a bug, not a data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership)
-and fails hard with a minimal reproducer on any disagreement.
+and fails hard with a minimal reproducer on any disagreement.  Within one
+call it runs the oracle once per distinct localized ideal: a dict local to
+the call maps the raw projected generators of ``I`` to the verdicts on
+their powers, and every subset is still checked against them.  No memo
+outlives the call.
 
 Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)
@@ -41,9 +45,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .borel import expand_squarefree
-from .localization import VariableSubset, localize_by_saturation
+from .localization import VariableSubset, _projected, localize_by_saturation
 from .monomials import (
     GroundSet,
     Monomial,
@@ -127,10 +132,11 @@ def _socle(J: MonomialIdeal, ceiling: int):
     """
     bounds = _bounds(J)
     cells = _cells(bounds, ceiling)
-    axes = [(math.prod(b + 1 for b in bounds[i + 1 :]), b) for i, b in enumerate(bounds)]
+    strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
+    axes = list(zip(strides, bounds))
     bits = bytearray((cells + 7) // 8)
     for g in J.vectors:
-        cell = sum(e * s for e, (s, _) in zip(g, axes))
+        cell = sum(map(mul, g, strides))
         bits[cell >> 3] |= 1 << (cell & 7)
     inside = int.from_bytes(bits, "little")
     del bits
@@ -146,6 +152,11 @@ def _socle(J: MonomialIdeal, ceiling: int):
     return axes, socle & ~inside, interior
 
 
+def _decode(cell: int, axes) -> tuple[int, ...]:
+    """The exponent vector of the cell with bit index ``cell``."""
+    return tuple(cell // s % (b + 1) for s, b in axes)
+
+
 def _socle_cells(J: MonomialIdeal, ceiling: int):
     """``(bounds, cells)``: the socle cells as exponent vectors, in lex
     order, which is the order of their bits from the lowest up."""
@@ -154,10 +165,36 @@ def _socle_cells(J: MonomialIdeal, ceiling: int):
     for pos, byte in enumerate(socle.to_bytes((socle.bit_length() + 7) // 8, "little")):
         while byte:
             low = byte & -byte
-            cell = 8 * pos + low.bit_length() - 1
-            cells.append(tuple(cell // s % (b + 1) for s, b in axes))
+            cells.append(_decode(8 * pos + low.bit_length() - 1, axes))
             byte ^= low
     return [b for _, b in axes], cells
+
+
+def _prime_cells(J: MonomialIdeal, ceiling: int):
+    """``(bounds, {p: w})``: for each position set ``p`` of a socle prime,
+    the first socle cell ``w`` in lex order with ``w_i < b_i`` exactly on ``p``.
+
+    The socle bitset is split along one top face per axis: each part is
+    cut into its cells on the face and those off it, and empty parts are
+    dropped, so at most one part per prime stays alive.  The lowest set bit
+    of a part is its first cell, and only those cells are decoded.
+    """
+    axes, socle, _ = _socle(J, ceiling)
+    cells = math.prod(b + 1 for _, b in axes)
+    parts = {(): socle}
+    for i, (s, b) in enumerate(axes):
+        top = _axis_mask(s * b, s * (b + 1), cells)
+        split = {}
+        for p, part in parts.items():
+            on = part & top
+            if on:
+                split[p] = on
+            if on != part:
+                split[p + (i,)] = part ^ on
+        parts = split
+    return [b for _, b in axes], {
+        p: _decode((part & -part).bit_length() - 1, axes) for p, part in parts.items()
+    }
 
 
 def irreducible_decomposition(
@@ -221,7 +258,8 @@ def associated_primes(
     """Associated primes of S/J as sorted label tuples.
 
     The primes ``{i : w_i < b_i}`` of the socle cells ``w``.  The witness
-    of a prime ``P`` is its first cell in lex order.  For ``w <= b``,
+    of a prime ``P`` is its first cell in lex order, and it is the only
+    cell of ``P`` decoded from the bitset (:func:`_prime_cells`).  For ``w <= b``,
     ``J : w = P`` iff (a) ``w * x_i`` is in ``J`` for each ``x_i`` in ``P``
     and (b) the cell ``v`` equal to ``w`` on ``P`` and to ``b`` off it is
     not.  Proof: (a) is ``P <= J : w``; a monomial ``m`` off ``P`` has
@@ -236,10 +274,7 @@ def associated_primes(
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
     ground = J.ground
-    bounds, socle_cells = _socle_cells(J, ceiling)
-    cells: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in socle_cells:
-        cells.setdefault(tuple(i for i, (e, b) in enumerate(zip(w, bounds)) if e < b), w)
+    bounds, cells = _prime_cells(J, ceiling)
     columns = _columns(J.vectors, bounds)
     witnesses = {}
     for p in sorted(cells, key=lambda p: (len(p), p)):
@@ -384,8 +419,17 @@ def cross_validate(
     the maximal ideal of the saturation-localized ideal is, and exactly
     when its index ``lambda_A`` is at most k, which is sharp.  Any
     mismatch raises :class:`CrossValidationError` with a minimal
-    reproducer.  Like :func:`stable_set_enumerate`, it walks all
-    2^n subsets, so an ``n`` above ``enumeration_bound`` is refused first.
+    reproducer.
+
+    Many subsets localize to the same ideal, so the oracle verdicts on the
+    localized powers are kept in a dict local to the call.  Its key is the
+    frozenset of the generators of ``I`` projected off ``A``, before any
+    reduction: equal sets give equal minimal vectors, and those are all
+    :func:`m_in_ass` reads.  The closed-form ``u_A`` never enters the key.
+    Every subset still runs every comparison and counter.
+
+    Like :func:`stable_set_enumerate`, it walks all 2^n subsets, so an
+    ``n`` above ``enumeration_bound`` is refused first.
     """
     if n is None:
         n = len(u.ground)
@@ -404,6 +448,7 @@ def cross_validate(
             _fail({"check": "depth", "u": str(u), "k": k, "formula": formula, "oracle": oracle})
         depth_checks += 1
 
+    verdicts: dict[frozenset, list[bool]] = {}
     localization_checks = 0
     membership_checks = 0
     sharpness_checks = 0
@@ -414,13 +459,20 @@ def cross_validate(
 
             if prime:
                 if combo:
-                    localized = localize_by_saturation(base, A)
-                    local_powers = [] if localized.is_unit else _powers(localized, kmax)
+                    key = frozenset(_projected(base, A))
+                    local_ms = verdicts.get(key)
+                    if local_ms is None:
+                        localized = localize_by_saturation(base, A)
+                        local_ms = verdicts[key] = (
+                            [False] * kmax
+                            if localized.is_unit
+                            else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
+                        )
                 else:
-                    local_powers = powers
+                    local_ms = [m_in_ass(J, ceiling) for J in powers]
                 for k in range(1, kmax + 1):
                     in_ass = prime in ass_sets[k - 1]
-                    local_m = bool(local_powers) and m_in_ass(local_powers[k - 1], ceiling)
+                    local_m = local_ms[k - 1]
                     if in_ass != local_m:
                         _fail(
                             {

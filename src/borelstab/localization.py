@@ -143,9 +143,14 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
         return J
     if A.is_everything:
         raise ValueError("localizing at every variable leaves no ambient ring")
-    new_ground = J.ground.without(A.members)
-    kept = [J.ground.position(i) for i in new_ground]
-    return MonomialIdeal(new_ground, _Unreduced([tuple(g[p] for p in kept) for g in J.vectors]))
+    return MonomialIdeal(J.ground.without(A.members), _Unreduced(_projected(J, A)))
+
+
+def _projected(J: MonomialIdeal, A: VariableSubset) -> list[tuple[int, ...]]:
+    """The generator vectors of ``J`` projected onto the positions off ``A``,
+    unreduced: the one projection of the saturation route."""
+    kept = [J.ground.position(i) for i in A.complement]
+    return [tuple(map(g.__getitem__, kept)) for g in J.vectors]
 
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from borelstab import (
+    CrossValidationError,
     GroundSet,
     Monomial,
     ResourceLimitError,
@@ -30,6 +31,7 @@ from borelstab import (
     stable_set_enumerate,
 )
 from borelstab import assprimes
+from borelstab.monomials import _powers
 from conftest import (
     all_squarefree,
     all_subsets,
@@ -254,10 +256,10 @@ class TestCrossValidate:
         # kmax = astab(u) + 1, astab the largest finite lambda_A: the closed
         # form only picks how deep to look, cross_validate checks every power
         # up to one past the last change with the oracle alone.  On a 2-core
-        # x86 VM n = 6 takes about 1.8 s (3.6 s at half speed, budget 15 s)
-        # and n = 7 about 13 s (26 s at half speed, budget 45 s).  n = 8 is
+        # x86 VM n = 6 takes about 0.5 s (1 s at half speed, budget 15 s)
+        # and n = 7 about 3.5 s (7 s at half speed, budget 45 s).  n = 8 is
         # opt-in (``-m oracle_n8``): its largest box has about 4.3 x 10^7
-        # cells, so it needs ceiling=10**8; about 150 s (300 s at half
+        # cells, so it needs ceiling=10**8; about 36 s (72 s at half
         # speed, budget 600 s)
         budget = {7: 45, 8: 600}.get(n, 15)
         ceiling = 10**8 if n == 8 else assprimes.CELL_CEILING
@@ -278,6 +280,51 @@ class TestCrossValidate:
         report = cross_validate(worked_generator, kmax=3)
         assert report.depth_checks == 3
         assert report.sharpness_checks == 12  # one per stable-set member
+
+    def test_localization_failure_names_first_subset(self, monkeypatch):
+        # the oracle forged to negate its verdict on every localized ideal:
+        # the first proper subset, A = {1}, localizes x2x3x4 to the proper
+        # ideal of x3x4 over 2..5, so it fails there at k = 1
+        real = assprimes.m_in_ass
+
+        def negated(J, *args):
+            return real(J, *args) != (len(J.ground) < 5)
+
+        monkeypatch.setattr(assprimes, "m_in_ass", negated)
+        with pytest.raises(CrossValidationError) as failure:
+            cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), n=5, kmax=2)
+        message = str(failure.value)
+        assert "'check': 'localization'" in message, message
+        assert "'A': (1,), 'k': 1," in message, message
+
+    def test_every_subset_checked_oracle_once_per_ideal(self, monkeypatch):
+        # every subset runs its comparisons, while the oracle runs kmax
+        # times per distinct non-unit projection of I off A, plus kmax
+        # for A = {} (the powers of I itself)
+        calls = []
+        real = assprimes.m_in_ass
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(assprimes, "m_in_ass", counting)
+        kmax = 3
+        for n in range(1, 7):
+            for u in all_squarefree(n):
+                base = expand_squarefree(u)
+                projections = set()
+                for members in all_subsets(n):
+                    kept = [i for i in range(n) if i + 1 not in members]
+                    if members and kept:
+                        projected = frozenset(tuple(g[i] for i in kept) for g in base.vectors)
+                        if not any(not any(g) for g in projected):
+                            projections.add(projected)
+                calls.clear()
+                report = cross_validate(u, kmax=kmax)
+                assert report.localization_checks == (2**n - 1) * kmax, u
+                assert report.membership_checks == 2**n * kmax, u
+                assert len(calls) == kmax * (len(projections) + 1), u
 
 
 class TestLocalizationCommutesWithAss:
@@ -443,26 +490,44 @@ def test_column_certificate_equals_generator_scan():
 
 @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
 def test_forged_witness_fails_the_certificate(step, monkeypatch):
-    # a socle cell moved one step on an axis inside the box: raised below
-    # its bound it lands in J, which (b) catches; lowered it leaves w * x_j
-    # outside J, which (a) catches
+    # one prime's cell moved one step inside the box, on an axis of the
+    # prime: raised it makes the cell of (b) a multiple of w * x_j, which
+    # is in J, so (b) catches it; lowered it makes w itself the (a) test
+    # of axis j, and w is outside J, so (a) catches it
     J = ideal_power(expand_squarefree(sf(GroundSet.contiguous(4), 2, 4)), 2)
-    real = assprimes._socle_cells
+    real = assprimes._prime_cells
 
     def forged(*args):
         bounds, cells = real(*args)
-        for w in cells:
-            for j, (e, b) in enumerate(zip(w, bounds)):
-                if 0 <= e + step <= b:
-                    moved = w[:j] + (e + step,) + w[j + 1 :]
-                    # first in the list, so it is the witness of its prime
-                    return bounds, [moved] + [c for c in cells if c != w]
+        for p, w in cells.items():
+            for j in p:
+                if 0 <= w[j] + step <= bounds[j]:
+                    moved = w[:j] + (w[j] + step,) + w[j + 1 :]
+                    return bounds, {**cells, p: moved}
         raise AssertionError("no cell can be moved")
 
     associated_primes(J)
-    monkeypatch.setattr(assprimes, "_socle_cells", forged)
+    monkeypatch.setattr(assprimes, "_prime_cells", forged)
     with pytest.raises(AssertionError, match="the socle sweep is buggy"):
         associated_primes(J)
+
+
+def test_witness_is_first_socle_cell_of_its_prime():
+    # the per-prime split of the bitset against the decoder of every
+    # socle cell: the witness of each prime is the first cell of that
+    # prime in lex order.  The last case has 27,295 socle cells on 374 primes
+    cases = [
+        J for n in range(1, 6) for u in all_squarefree(n) for J in _powers(expand_squarefree(u), 3)
+    ]
+    cases.append(power_generators(lambda_value_witness(6, 3)[0], 3))
+    for J in cases:
+        bounds, cells = assprimes._socle_cells(J, assprimes.CELL_CEILING)
+        first = {}
+        for w in cells:
+            prime = tuple(i for i, e, b in zip(J.ground, w, bounds) if e < b)
+            first.setdefault(prime, w)
+        witnessed = associated_primes(J, with_witnesses=True)
+        assert {p: w.vector for p, w in witnessed.items()} == first, J
 
 
 def test_generator_ceiling(g3):
