@@ -44,17 +44,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .borel import expand_squarefree
 from .localization import VariableSubset, _projected, localize_by_saturation
 from .monomials import (
+    CrossValidationError,
     GroundSet,
     Monomial,
     MonomialIdeal,
+    ResourceLimitError,
     SquarefreeMonomial,
     _powers,
+    _value,
 )
 from .quotients import quotient_profile
 from .stability import DEFAULT_ENUMERATION_BOUND, lambda_of_prime
@@ -62,15 +64,7 @@ from .stability import DEFAULT_ENUMERATION_BOUND, lambda_of_prime
 CELL_CEILING = 10_000_000
 
 
-class ResourceLimitError(RuntimeError):
-    """The ideal is too large for the configured brute-force budget."""
-
-
-class CrossValidationError(AssertionError):
-    """A closed-form result disagreed with the oracle; carries a reproducer."""
-
-
-@dataclass(frozen=True)
+@_value
 class IrreducibleComponent:
     """An ideal generated by pure variable powers ``x_i^{e_i}``, stored as
     the vector of the ``e_i`` (0 where ``x_i`` does not occur)."""
@@ -295,7 +289,7 @@ def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
     return socle & interior != 0
 
 
-@dataclass(frozen=True)
+@_value
 class AssProfile:
     """Associated primes of the first ``kmax`` powers of an expansion.
 
@@ -357,7 +351,7 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
     return profile, powers
 
 
-@dataclass(frozen=True)
+@_value
 class PersistenceReport:
     """Primes found to drop out of a later power (expected: none)."""
 
@@ -388,7 +382,7 @@ def persistence_scan(
     return PersistenceReport(u, profile.n, kmax, tuple(violations))
 
 
-@dataclass(frozen=True)
+@_value
 class CrossValidationReport:
     """Tally of oracle-vs-formula checks that all passed."""
 

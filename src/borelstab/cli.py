@@ -19,6 +19,17 @@ The ground set is exactly one of ``--n`` (labels 1..n) or ``--vars``
 returns its result as a JSON object or as table lines, and :func:`run`
 prints it: one place from argv to output.
 
+A process loads only the modules its verb runs: each handler imports its
+own.  Every verb loads ``cli``, ``jsonio`` and ``monomials`` (which holds
+the two exceptions :func:`run` maps to exit statuses); ``expand`` and
+``power`` add ``borel``; ``localize`` adds ``borel`` and
+``localization``; ``colon-profile`` adds ``borel`` and ``quotients``;
+``lambda``, ``ever-associated``, ``stable-set`` and ``table`` add
+``borel``, ``localization`` and ``stability``; ``ass``, ``persist`` and
+``validate`` load everything.  The config holds only the keys its file
+sets, so the default of each ceiling stays with the function that
+applies it.
+
 Exit status: 0 success, 1 domain error, 2 usage error, 3 validation
 mismatch, 4 internal error (a failed self-check: a bug, never bad input).
 All computation is deterministic; there is no randomness anywhere, so
@@ -31,15 +42,16 @@ import argparse
 import json
 import sys
 
-from . import assprimes, jsonio, quotients, stability
-from .borel import borel_closure, expand_squarefree, power_generators
-from .localization import (
-    localize_by_saturation,
-    localize_closed_form,
-    localized_expansion,
-    parse_subset,
+from . import jsonio
+from .monomials import (
+    CrossValidationError,
+    GroundSet,
+    ResourceLimitError,
+    parse_monomial,
+    parse_squarefree,
 )
-from .monomials import GroundSet, parse_monomial, parse_squarefree
+
+_CONFIG_KEYS = ("max_n", "max_kmax", "cell_ceiling")
 
 
 class _UsageError(ValueError):
@@ -82,6 +94,8 @@ def _ground_from_args(args) -> GroundSet:
 
 def _cmd_ideal(args, ground):
     """expand and power: the generators of one ideal."""
+    from .borel import borel_closure, power_generators
+
     if args.verb == "expand":
         J = borel_closure(_usage(parse_monomial, args.u, ground), args.k)
     else:
@@ -92,12 +106,15 @@ def _cmd_ideal(args, ground):
 
 
 def _cmd_localize(args, ground):
+    from . import localization
+    from .borel import expand_squarefree
+
     u = _usage(parse_squarefree, args.u, ground)
-    A = _usage(parse_subset, args.A or "", ground)
-    local = localize_closed_form(u, A)
-    expansion = localized_expansion(u, A)
+    A = _usage(localization.parse_subset, args.A or "", ground)
+    local = localization.localize_closed_form(u, A)
+    expansion = localization.localized_expansion(u, A)
     if not A.is_everything and A.members:
-        sat = localize_by_saturation(expand_squarefree(u), A)
+        sat = localization.localize_by_saturation(expand_squarefree(u), A)
         if not (sat.is_unit if expansion is None else sat == expansion):
             raise AssertionError("closed form and saturation disagree")
     if args.format == "json":
@@ -108,6 +125,8 @@ def _cmd_localize(args, ground):
 
 
 def _cmd_colon_profile(args, ground):
+    from . import quotients
+
     u = _usage(parse_squarefree, args.u, ground)
     J, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
@@ -122,6 +141,8 @@ def _cmd_colon_profile(args, ground):
 
 def _cmd_max_ideal(args, ground):
     """lambda and ever-associated: one value of the maximal ideal."""
+    from . import stability
+
     u = _usage(parse_squarefree, args.u, ground)
     if args.verb == "lambda":
         key, value = "lambda", jsonio.lambda_to_obj(stability.lambda_max_ideal(u))
@@ -133,10 +154,10 @@ def _cmd_max_ideal(args, ground):
 
 
 def _cmd_stable_set(args, ground):
+    from . import stability
+
     u = _usage(parse_squarefree, args.u, ground)
-    entries = stability.stable_set_enumerate(
-        u, members_only=not args.all, enumeration_bound=args.max_n
-    )
+    entries = stability.stable_set_enumerate(u, members_only=not args.all, **args.bound)
     if args.paper_order:
         entries.sort(key=lambda e: (-len(e.subset), e.subset))
     if args.format == "json":
@@ -156,8 +177,10 @@ def _cmd_stable_set(args, ground):
 
 
 def _cmd_ass(args, ground):
+    from . import assprimes
+
     u = _usage(parse_squarefree, args.u, ground)
-    profile = assprimes.ass_profile(u, kmax=args.kmax, ceiling=args.ceiling)
+    profile = assprimes.ass_profile(u, kmax=args.kmax, **args.ceiling)
     if args.format == "json":
         return jsonio.ass_profile_to_obj(profile), 0
     lines = []
@@ -168,8 +191,10 @@ def _cmd_ass(args, ground):
 
 
 def _cmd_persist(args, ground):
+    from . import assprimes
+
     u = _usage(parse_squarefree, args.u, ground)
-    report = assprimes.persistence_scan(u, kmax=args.kmax, ceiling=args.ceiling)
+    report = assprimes.persistence_scan(u, kmax=args.kmax, **args.ceiling)
     status = 0 if report.ok else 3
     if args.format == "json":
         return jsonio.persistence_to_obj(report), status
@@ -179,10 +204,10 @@ def _cmd_persist(args, ground):
 
 
 def _cmd_validate(args, ground):
+    from . import assprimes
+
     u = _usage(parse_squarefree, args.u, ground)
-    report = assprimes.cross_validate(
-        u, kmax=args.kmax, ceiling=args.ceiling, enumeration_bound=args.max_n
-    )
+    report = assprimes.cross_validate(u, kmax=args.kmax, **args.ceiling, **args.bound)
     if args.format == "json":
         return jsonio.cross_validation_to_obj(report), 0
     total = (
@@ -195,13 +220,10 @@ def _cmd_validate(args, ground):
 
 
 def _load_config(path: str | None) -> dict:
-    defaults = {
-        "max_n": stability.DEFAULT_ENUMERATION_BOUND,
-        "max_kmax": 6,
-        "cell_ceiling": assprimes.CELL_CEILING,
-    }
+    """The keys the config file sets; a key it leaves out keeps the
+    default of the function that reads it."""
     if not path:
-        return defaults
+        return {}
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -210,14 +232,13 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise _UsageError(f"config {path!r} must hold a JSON object")
     for key, value in data.items():
-        if key not in defaults:
+        if key not in _CONFIG_KEYS:
             raise _UsageError(
-                f"unknown config key {key!r}; expected one of {', '.join(defaults)}"
+                f"unknown config key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
             )
         if type(value) is not int or value < 1:
             raise _UsageError(f"config key {key!r} must be a positive integer, not {value!r}")
-    defaults.update(data)
-    return defaults
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,23 +311,22 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args.config)
-        args.max_n = config["max_n"]
-        args.ceiling = config["cell_ceiling"]
-        if getattr(args, "kmax", None) is not None and args.kmax > config["max_kmax"]:
-            raise ValueError(
-                f"kmax={args.kmax} above the configured ceiling {config['max_kmax']}"
-            )
+        args.bound = {"enumeration_bound": config["max_n"]} if "max_n" in config else {}
+        args.ceiling = {"ceiling": config["cell_ceiling"]} if "cell_ceiling" in config else {}
+        max_kmax = config.get("max_kmax", 6)
+        if getattr(args, "kmax", None) is not None and args.kmax > max_kmax:
+            raise ValueError(f"kmax={args.kmax} above the configured ceiling {max_kmax}")
         payload, status = _HANDLERS[args.verb](args, _ground_from_args(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 2
-    except assprimes.CrossValidationError as exc:
+    except CrossValidationError as exc:
         print(f"validation mismatch: {exc}", file=err)
         return 3
     except AssertionError as exc:
         print(f"internal error: {exc}", file=err)
         return 4
-    except (ValueError, assprimes.ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     print(jsonio.emit(payload) if args.format == "json" else "\n".join(payload), file=out)

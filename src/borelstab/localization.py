@@ -16,13 +16,12 @@ can check the other.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .borel import expand_squarefree
-from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced
+from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced, _value
 
 
-@dataclass(frozen=True)
+@_value
 class VariableSubset:
     """A subset ``A`` of the ambient ground set (possibly empty).
 
@@ -71,7 +70,7 @@ def parse_subset(text: str, ambient: GroundSet) -> VariableSubset:
     return VariableSubset(ambient, members)
 
 
-@dataclass(frozen=True)
+@_value
 class LocalizedGenerator:
     """Result of localizing a squarefree Borel generator.
 

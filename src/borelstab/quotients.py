@@ -27,11 +27,10 @@ times and the tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .borel import is_power_generator, power_generators
-from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
+from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial, _value
 
 
 def _colon_sets(labels, vectors, cap: int) -> list[frozenset[int]]:
@@ -53,7 +52,7 @@ def _colon_sets(labels, vectors, cap: int) -> list[frozenset[int]]:
     return list(map(shared.__getitem__, keys))
 
 
-@dataclass(frozen=True)
+@_value
 class QuotientProfile:
     """Colon variable sets of a power, with q, depth and the depth-zero flag."""
 

@@ -35,10 +35,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .localization import LocalizedGenerator, VariableSubset, localize_closed_form
-from .monomials import GroundSet, SquarefreeMonomial
+from .monomials import GroundSet, SquarefreeMonomial, _value
 
 INFINITE = math.inf
 
@@ -67,7 +66,7 @@ def _runs(indices, ground) -> tuple[list[tuple[int, int]], list[int], list[int]]
     return runs, lengths, gaps
 
 
-@dataclass(frozen=True)
+@_value
 class IntervalDecomposition:
     """Maximal blocks of consecutive variables in the support of ``u``
     (which contains the last variable).
@@ -216,7 +215,7 @@ def lambda_of_prime(u: SquarefreeMonomial, A: VariableSubset) -> int | float:
     return _lambda(local.indices, local.ground)
 
 
-@dataclass(frozen=True)
+@_value
 class StableSetEntry:
     """One subset ``A`` with its localized generator and membership data.
 

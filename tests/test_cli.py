@@ -374,3 +374,50 @@ def test_internal_fault_exits_4_under_optimize(monkeypatch):
     )
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("internal error: ")
+
+
+def test_validation_mismatch_exits_3(monkeypatch):
+    from borelstab import assprimes
+
+    real = assprimes.m_in_ass
+    monkeypatch.setattr(assprimes, "m_in_ass", lambda J, ceiling: not real(J, ceiling))
+    code, out, err = invoke(["validate", "--u", "2,3", "--n", "3", "--kmax", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("validation mismatch: oracle mismatch: {'check': 'localization'")
+
+
+def test_persistence_violation_exits_3(monkeypatch):
+    from borelstab import assprimes
+
+    real = assprimes.ass_profile
+
+    def reversed_powers(*args):
+        # Ass(I) and Ass(I^2) swapped: the maximal ideal, first associated
+        # to I^2, now seems to drop out of the second power
+        profile = real(*args)
+        return assprimes.AssProfile(
+            profile.u, profile.n, profile.kmax, profile.witnesses_by_power[::-1], None
+        )
+
+    monkeypatch.setattr(assprimes, "ass_profile", reversed_powers)
+    argv = ["persist", "--u", "2,3", "--n", "3", "--kmax", "2"]
+    assert invoke(argv) == (3, "VIOLATION: (x_1,x_2,x_3) in Ass(I^1) only\n", "")
+    code, out, err = invoke([*argv, "--format", "json"])
+    assert (code, err) == (3, "")
+    assert json.loads(out)["violations"] == [{"k": 1, "prime": [1, 2, 3]}]
+
+
+def test_resource_limit_exits_1_in_a_fresh_process(monkeypatch):
+    # the exception mapping of run() with assprimes loaded by the handler
+    import borelstab
+
+    src = str(Path(borelstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelstab.cli", "ass", "--u", "20", "--n", "20", "--kmax", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "box cells exceed the ceiling" in proc.stderr
