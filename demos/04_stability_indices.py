@@ -33,6 +33,6 @@ print()
 print("every index between 2 and the degree is realized by a constructed generator:")
 for d in (3, 4):
     for i in range(2, d + 1):
-        u, n = lambda_value_witness(d, i)
-        print(f"  degree {d}, target {i}: u = {u} over 1..{n},",
+        u = lambda_value_witness(d, i)
+        print(f"  degree {d}, target {i}: u = {u} over 1..{len(u.ground)},",
               "index =", lambda_max_ideal(u))

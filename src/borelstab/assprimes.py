@@ -18,12 +18,15 @@ the sweep (proof in :func:`associated_primes`).  A failed certificate is
 a bug, not a data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
-against the closed-form routes (depth, localization, stable membership)
-and fails hard with a minimal reproducer on any disagreement.  Within one
-call it runs the oracle once per distinct localized ideal: a dict local to
-the call maps the raw projected generators of ``I`` to the verdicts on
-their powers, and every subset is still checked against them.  No memo
-outlives the call.
+against the closed-form routes (depth, localization, stable membership).
+Each subset lists the verdicts ``P_A in Ass(I^k)`` once, and one helper,
+:func:`_compare`, holds that list against each route's, counts the
+comparisons and fails hard with a minimal reproducer at the first
+disagreement.  Within one call the oracle runs once per distinct localized
+ideal: a dict local to the call maps the raw projected generators of ``I``
+to the verdicts on their powers.  It is seeded with the powers of ``I``
+itself, under the key of the empty subset, so every subset is checked the
+same way.  No memo outlives the call.
 
 Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)
@@ -246,10 +249,9 @@ def _colon_is_prime(columns, bounds, w, p) -> bool:
     return all(_holds(columns, v) for v in raised) and not _holds(columns, top)
 
 
-def associated_primes(
-    J: MonomialIdeal, ceiling: int = CELL_CEILING, with_witnesses: bool = False
-):
-    """Associated primes of S/J as sorted label tuples.
+def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
+    """Associated primes of S/J, as a dict ``prime -> witness`` from sorted
+    label tuples to colon witnesses, by size and then lexicographically.
 
     The primes ``{i : w_i < b_i}`` of the socle cells ``w``.  The witness
     of a prime ``P`` is its first cell in lex order, and it is the only
@@ -263,7 +265,6 @@ def associated_primes(
     vectors (:func:`_columns`): a cell ``v`` is in ``J`` iff
     ``AND_j columns[j][v_j] != 0``.  The table is indexed by generator and
     never by box cell, so it shares nothing with the sweep that found ``w``.
-    With ``with_witnesses`` returns a dict ``prime -> witness``.
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
@@ -276,7 +277,7 @@ def associated_primes(
         if not _colon_is_prime(columns, bounds, w.vector, p):
             raise AssertionError(f"J : {w} is not {prime} in {J}: the socle sweep is buggy")
         witnesses[prime] = w
-    return witnesses if with_witnesses else tuple(witnesses)
+    return witnesses
 
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
@@ -301,7 +302,6 @@ class AssProfile:
     """
 
     u: SquarefreeMonomial
-    n: int
     kmax: int
     witnesses_by_power: tuple[tuple[tuple[tuple[int, ...], Monomial], ...], ...]
     stable_from: int | None
@@ -334,20 +334,14 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
     for k in range(1, kmax + 1):
         _cells([k * b for b in bounds], ceiling)
     powers = _powers(base, kmax)
-    witnessed = [associated_primes(J, ceiling, with_witnesses=True) for J in powers]
+    witnessed = [associated_primes(J, ceiling) for J in powers]
     stable_from = None
     for k in range(kmax - 1, 0, -1):
         if witnessed[k - 1].keys() == witnessed[k].keys():
             stable_from = k
         else:
             break
-    profile = AssProfile(
-        u=u,
-        n=n,
-        kmax=kmax,
-        witnesses_by_power=tuple(tuple(w.items()) for w in witnessed),
-        stable_from=stable_from,
-    )
+    profile = AssProfile(u, kmax, tuple(tuple(w.items()) for w in witnessed), stable_from)
     return profile, powers
 
 
@@ -356,7 +350,6 @@ class PersistenceReport:
     """Primes found to drop out of a later power (expected: none)."""
 
     u: SquarefreeMonomial
-    n: int
     kmax: int
     violations: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -379,7 +372,7 @@ def persistence_scan(
         for prime in profile.primes_at(k):
             if prime not in later:
                 violations.append((k, prime))
-    return PersistenceReport(u, profile.n, kmax, tuple(violations))
+    return PersistenceReport(u, kmax, tuple(violations))
 
 
 @_value
@@ -387,7 +380,6 @@ class CrossValidationReport:
     """Tally of oracle-vs-formula checks that all passed."""
 
     u: SquarefreeMonomial
-    n: int
     kmax: int
     depth_checks: int
     localization_checks: int
@@ -395,8 +387,25 @@ class CrossValidationReport:
     sharpness_checks: int
 
 
-def _fail(reproducer: dict) -> None:
-    raise CrossValidationError(f"oracle mismatch: {reproducer}")
+def _compare(left, right, check, u, A=None, lam=None, names=()) -> int:
+    """Compare two verdict lists entry by entry; return how many comparisons
+    were made.  At the first entry ``k`` (1-based: the power) that differs,
+    raise :class:`CrossValidationError` with the reproducer ``check``,
+    ``u``, then ``A``, ``k``, ``lambda`` and the two verdicts under
+    ``names``, each only when given: without ``names`` (sharpness, one
+    verdict per subset) there is no ``k``.  It is built only on a failure."""
+    for k, (a, b) in enumerate(zip(left, right), 1):
+        if a != b:
+            reproducer = {"check": check, "u": str(u)}
+            if A is not None:
+                reproducer["A"] = A
+            if names:
+                reproducer["k"] = k
+            if lam is not None:
+                reproducer["lambda"] = lam
+            reproducer.update(zip(names, (a, b)))
+            raise CrossValidationError(f"oracle mismatch: {reproducer}")
+    return len(left)
 
 
 def cross_validate(
@@ -411,16 +420,19 @@ def cross_validate(
     Checks, for each power k up to kmax: the maximal ideal is associated
     exactly when q = n - 1; each prime ``P_A`` is associated exactly when
     the maximal ideal of the saturation-localized ideal is, and exactly
-    when its index ``lambda_A`` is at most k, which is sharp.  Any
-    mismatch raises :class:`CrossValidationError` with a minimal
-    reproducer.
+    when its index ``lambda_A`` is at most k, which is sharp.  Each subset
+    builds one list ``in_ass[k-1] = P_A in Ass(I^k)`` and compares it with
+    each route's list through :func:`_compare`, the one path that counts
+    the comparisons and raises :class:`CrossValidationError` with a
+    minimal reproducer at the first mismatch.
 
     Many subsets localize to the same ideal, so the oracle verdicts on the
     localized powers are kept in a dict local to the call.  Its key is the
     frozenset of the generators of ``I`` projected off ``A``, before any
     reduction: equal sets give equal minimal vectors, and those are all
     :func:`m_in_ass` reads.  The closed-form ``u_A`` never enters the key.
-    Every subset still runs every comparison and counter.
+    The dict is seeded with the verdicts on the powers of ``I`` under the
+    key of the empty ``A``, so every subset takes the same path.
 
     Like :func:`stable_set_enumerate`, it walks all 2^n subsets, so an
     ``n`` above ``enumeration_bound`` is refused first.
@@ -430,97 +442,39 @@ def cross_validate(
     if n > enumeration_bound:
         raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
     profile, powers = _profile_and_powers(u, n, kmax, ceiling)
-    base = powers[0]
-    ass_sets = [set(profile.primes_at(k)) for k in range(1, kmax + 1)]
-    labels = u.ground.indices
+    base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
+    ass_sets = [set(profile.primes_at(k)) for k in ks]
+    formula = [quotient_profile(u, k).q == n - 1 for k in ks]
+    oracle = [labels in ass for ass in ass_sets]
+    depth = _compare(formula, oracle, "depth", u, names=("formula", "oracle"))
 
-    depth_checks = 0
-    for k in range(1, kmax + 1):
-        formula = quotient_profile(u, k).q == n - 1
-        oracle = labels in ass_sets[k - 1]
-        if formula != oracle:
-            _fail({"check": "depth", "u": str(u), "k": k, "formula": formula, "oracle": oracle})
-        depth_checks += 1
-
-    verdicts: dict[frozenset, list[bool]] = {}
-    localization_checks = 0
-    membership_checks = 0
-    sharpness_checks = 0
+    verdicts = {frozenset(base.vectors): [m_in_ass(J, ceiling) for J in powers]}
+    localization = membership = sharpness = 0
     for size in range(n + 1):
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
             prime = A.complement
-
+            in_ass = [prime in ass for ass in ass_sets]
             if prime:
-                if combo:
-                    key = frozenset(_projected(base, A))
-                    local_ms = verdicts.get(key)
-                    if local_ms is None:
-                        localized = localize_by_saturation(base, A)
-                        local_ms = verdicts[key] = (
-                            [False] * kmax
-                            if localized.is_unit
-                            else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
-                        )
-                else:
-                    local_ms = [m_in_ass(J, ceiling) for J in powers]
-                for k in range(1, kmax + 1):
-                    in_ass = prime in ass_sets[k - 1]
-                    local_m = local_ms[k - 1]
-                    if in_ass != local_m:
-                        _fail(
-                            {
-                                "check": "localization",
-                                "u": str(u),
-                                "A": combo,
-                                "k": k,
-                                "P_A in Ass(I^k)": in_ass,
-                                "m in Ass(I(P_A)^k)": local_m,
-                            }
-                        )
-                    localization_checks += 1
-
+                key = frozenset(_projected(base, A))
+                local = verdicts.get(key)
+                if local is None:
+                    localized = localize_by_saturation(base, A)
+                    local = verdicts[key] = (
+                        [False] * kmax
+                        if localized.is_unit
+                        else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
+                    )
+                names = ("P_A in Ass(I^k)", "m in Ass(I(P_A)^k)")
+                localization += _compare(in_ass, local, "localization", u, combo, names=names)
             lam = lambda_of_prime(u, A)
-            for k in range(1, kmax + 1):
-                expected = lam <= k
-                observed = bool(prime) and prime in ass_sets[k - 1]
-                if expected != observed:
-                    _fail(
-                        {
-                            "check": "membership",
-                            "u": str(u),
-                            "A": combo,
-                            "k": k,
-                            "lambda": lam,
-                            "expected": expected,
-                            "observed": observed,
-                        }
-                    )
-                membership_checks += 1
+            expected = [lam <= k for k in ks]
+            names = ("expected", "observed")
+            membership += _compare(expected, in_ass, "membership", u, combo, lam, names)
             if lam <= kmax:
-                sharp = prime in ass_sets[int(lam) - 1] and (
-                    lam == 1 or prime not in ass_sets[int(lam) - 2]
-                )
-                if not sharp:
-                    _fail(
-                        {
-                            "check": "sharpness",
-                            "u": str(u),
-                            "A": combo,
-                            "lambda": lam,
-                        }
-                    )
-                sharpness_checks += 1
-
-    return CrossValidationReport(
-        u=u,
-        n=n,
-        kmax=kmax,
-        depth_checks=depth_checks,
-        localization_checks=localization_checks,
-        membership_checks=membership_checks,
-        sharpness_checks=sharpness_checks,
-    )
+                sharp = in_ass[int(lam) - 1] and (lam == 1 or not in_ass[int(lam) - 2])
+                sharpness += _compare([sharp], [True], "sharpness", u, combo, lam)
+    return CrossValidationReport(u, kmax, depth, localization, membership, sharpness)
 
 
 __all__ = [

@@ -91,7 +91,7 @@ def quotient_profile_to_obj(u: SquarefreeMonomial, profile: QuotientProfile) -> 
     return {
         "schema": SCHEMA_VERSION,
         "u": squarefree_to_obj(u),
-        "n": profile.n,
+        "n": len(u.ground),
         "k": profile.k,
         "colon_sets": [sorted(s) for s in profile.colon_sets],
         "q": profile.q,
@@ -117,7 +117,7 @@ def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "u": squarefree_to_obj(profile.u),
-        "n": profile.n,
+        "n": len(profile.u.ground),
         "kmax": profile.kmax,
         "powers": powers,
         "stable_from": profile.stable_from,
@@ -128,7 +128,7 @@ def persistence_to_obj(report: PersistenceReport) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "u": squarefree_to_obj(report.u),
-        "n": report.n,
+        "n": len(report.u.ground),
         "kmax": report.kmax,
         "violations": [{"k": k, "prime": list(p)} for k, p in report.violations],
         "ok": report.ok,
@@ -139,7 +139,7 @@ def cross_validation_to_obj(report: CrossValidationReport) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "u": squarefree_to_obj(report.u),
-        "n": report.n,
+        "n": len(report.u.ground),
         "kmax": report.kmax,
         "checks": {
             "depth": report.depth_checks,

@@ -56,7 +56,6 @@ def _colon_sets(labels, vectors, cap: int) -> list[frozenset[int]]:
 class QuotientProfile:
     """Colon variable sets of a power, with q, depth and the depth-zero flag."""
 
-    n: int
     k: int
     colon_sets: tuple[frozenset[int], ...]
     q: int
@@ -73,10 +72,7 @@ def _power_profile(u: SquarefreeMonomial, k: int) -> tuple[MonomialIdeal, Quotie
     q = max(map(len, sets))
     if q >= n:
         raise AssertionError("colon sets live below max(u_i), so q must stay below n")
-    profile = QuotientProfile(
-        n=n, k=k, colon_sets=tuple(sets), q=q, depth=n - q - 1, m_in_ass=(q == n - 1)
-    )
-    return J, profile
+    return J, QuotientProfile(k, tuple(sets), q, n - q - 1, q == n - 1)
 
 
 def quotient_profile(u: SquarefreeMonomial, k: int) -> QuotientProfile:

@@ -15,9 +15,8 @@ A prime ``P_A`` is eventually associated iff the maximal ideal of the
 localized ring is, that is iff its index ``lambda_A``, the maximal-ideal
 index of the localized generator ``u_A``, is finite.  That is the direct
 route: membership is ``lambda_A < inf``.  Its referee is the purely
-combinatorial route on ``u`` and ``A`` alone, which never computes the
-min and max of ``u_A``; :func:`stable_set_enumerate` raises whenever the
-two disagree.
+combinatorial route on ``u`` and ``A`` alone, which never localizes
+``u``; :func:`stable_set_enumerate` raises whenever the two disagree.
 
 One-variable degenerate case: the general theory excludes a generator
 equal to the single variable of its ring, but such localizations do occur
@@ -132,7 +131,7 @@ def _lambda(indices, ground) -> int | float:
     return best
 
 
-def lambda_value_witness(d: int, i: int) -> tuple[SquarefreeMonomial, int]:
+def lambda_value_witness(d: int, i: int) -> SquarefreeMonomial:
     """A degree-d generator over ``2d - i + 1`` variables whose index is ``i``.
 
     Concatenates the run ``x_2 .. x_i``, the spaced labels ``x_{i+2j}``
@@ -149,7 +148,7 @@ def lambda_value_witness(d: int, i: int) -> tuple[SquarefreeMonomial, int]:
         raise AssertionError(f"witness {u} has degree {u.degree}, not {d}")
     if lambda_max_ideal(u) != i:
         raise AssertionError(f"witness {u} does not attain lambda = {i}")
-    return u, n
+    return u
 
 
 # --- combinatorics of a subset against the generator -----------------------
@@ -165,10 +164,19 @@ def cover_positions(A: VariableSubset, u: SquarefreeMonomial) -> tuple[int | Non
     return tuple(out)
 
 
-def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) -> bool:
-    """Membership of ``P_A`` in the stable set, without computing ``u_A``'s
-    min and max directly.
+def _localizes_to_unit(u: SquarefreeMonomial, A: VariableSubset) -> bool:
+    """Whether ``u_A`` is the unit ideal, by counting alone: for every
+    ``t``, at least ``t`` elements of ``A`` are at most the ``t``-th support
+    index ``i_t``."""
+    return all(bisect_right(A.members, i) >= t for t, i in enumerate(u.indices, 1))
 
+
+def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) -> bool:
+    """Membership of ``P_A`` in the stable set, without localizing ``u``.
+
+    A localization to the unit ideal (:func:`_localizes_to_unit`) is never
+    a member, and any other localization to a one-variable ring
+    (``|A| = n - 1``) always is.
     Condition (i), min above the floor: with ``run`` the length of the
     generator's leading run at positions ``1, 2, ...`` of the ground set
     (``d`` when all of ``u`` is one), the first ``run`` elements of ``A``
@@ -180,11 +188,10 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
     the support indices up to the top and ``l`` is :func:`cover_positions`.
     """
-    local = localize_closed_form(u, A)
-    if local.is_unit_ideal:
+    if _localizes_to_unit(u, A):
         return False
-    if len(local.ground) == 1:
-        return local.indices == local.ground
+    if A.size == len(u.ground) - 1:
+        return True
 
     labels = u.ground.indices
     run = 0

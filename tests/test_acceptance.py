@@ -163,11 +163,11 @@ def test_criterion_4_constructed_generators_hit_every_index():
     with _Criterion(4, "constructed generators realize every index, sharply", 300):
         for d in range(2, 7):
             for i in range(2, d + 1):
-                u, n = lambda_value_witness(d, i)
+                u = lambda_value_witness(d, i)
                 assert lambda_max_ideal(u) == i, (d, i)
         for d in (2, 3):
             for i in range(2, d + 1):
-                u, n = lambda_value_witness(d, i)
+                u = lambda_value_witness(d, i)
                 base = expand_squarefree(u)
                 for k in range(1, i + 1):
                     assert m_in_ass(power_by_all_products(base, k)) == (k == i), (d, i, k)
@@ -181,7 +181,7 @@ def test_criterion_4_sharp_by_the_oracle():
     with _Criterion(4, "the oracle confirms every witness index is sharp, d <= 6", 10):
         for d in range(2, 7):
             for i in range(2, d + 1):
-                u, n = lambda_value_witness(d, i)
+                u = lambda_value_witness(d, i)
                 assert not m_in_ass(power_generators(u, i - 1)), (d, i, i - 1)
                 assert m_in_ass(power_generators(u, i)), (d, i, i)
 
@@ -194,7 +194,7 @@ def test_criterion_4_witness_primes_by_the_oracle():
     with _Criterion(4, "the oracle finds exactly the predicted primes, d <= 6", 6):
         for d in range(2, 7):
             for i in range(2, d + 1):
-                u, n = lambda_value_witness(d, i)
+                u = lambda_value_witness(d, i)
                 members = stable_set_enumerate(u, members_only=True)
                 for k in (i - 1, i):
                     predicted = {e.prime for e in members if e.stability_index <= k}

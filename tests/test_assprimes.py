@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -123,7 +124,7 @@ class TestAssociatedPrimes:
     def test_embedded_with_witnesses(self):
         g2 = GroundSet.contiguous(2)
         J = ideal(mono(g2, x1=2), mono(g2, x1=1, x2=1))
-        witnessed = associated_primes(J, with_witnesses=True)
+        witnessed = associated_primes(J)
         assert set(witnessed) == {(1,), (1, 2)}
         for prime, w in witnessed.items():
             got = colon(J, w)
@@ -131,13 +132,13 @@ class TestAssociatedPrimes:
             assert all(m.degree == 1 for m in got.generators)
 
     def test_principal_prime(self, g3):
-        assert associated_primes(ideal(mono(g3, x1=1))) == ((1,),)
+        assert list(associated_primes(ideal(mono(g3, x1=1)))) == [(1,)]
 
     def test_witness_soundness_across_small_ideals(self):
         for n in (2, 3):
             for u in all_squarefree(n):
                 J = ideal_power(expand_squarefree(u), 2)
-                for prime, w in associated_primes(J, with_witnesses=True).items():
+                for prime, w in associated_primes(J).items():
                     got = colon(J, w)
                     assert all(m.degree == 1 for m in got.generators)
                     assert {m.support[0] for m in got.generators} == set(prime)
@@ -297,6 +298,44 @@ class TestCrossValidate:
         assert "'check': 'localization'" in message, message
         assert "'A': (1,), 'k': 1," in message, message
 
+    # the other three reproducers, each forged on x2x3x4 over 1..5, whose
+    # first subset with a finite index is A = {5} with lambda_A = 3
+
+    def test_depth_failure_names_first_power(self, monkeypatch):
+        # q forged to n - 1 at every power: the formula claims the maximal
+        # ideal at k = 1, where the oracle does not find it
+        monkeypatch.setattr(
+            assprimes, "quotient_profile", lambda u, k: SimpleNamespace(q=len(u.ground) - 1)
+        )
+        with pytest.raises(CrossValidationError) as failure:
+            cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
+        assert str(failure.value) == (
+            "oracle mismatch: {'check': 'depth', 'u': 'x_2x_3x_4', 'k': 1, "
+            "'formula': True, 'oracle': False}"
+        )
+
+    def test_membership_failure_names_first_subset(self, monkeypatch):
+        # every index forged infinite: A = {5} is associated to I^3 anyway
+        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: math.inf)
+        with pytest.raises(CrossValidationError) as failure:
+            cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
+        assert str(failure.value) == (
+            "oracle mismatch: {'check': 'membership', 'u': 'x_2x_3x_4', 'A': (5,), "
+            "'k': 3, 'lambda': inf, 'expected': False, 'observed': True}"
+        )
+
+    def test_sharpness_failure_names_first_subset(self, monkeypatch):
+        # every finite index forged half a power early: lambda_A = 2.5
+        # passes membership at each k, but P_A is not associated to I^2
+        real = assprimes.lambda_of_prime
+        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: real(u, A) - 0.5)
+        with pytest.raises(CrossValidationError) as failure:
+            cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
+        assert str(failure.value) == (
+            "oracle mismatch: {'check': 'sharpness', 'u': 'x_2x_3x_4', 'A': (5,), "
+            "'lambda': 2.5}"
+        )
+
     def test_every_subset_checked_oracle_once_per_ideal(self, monkeypatch):
         # every subset runs its comparisons, while the oracle runs kmax
         # times per distinct non-unit projection of I off A, plus kmax
@@ -405,7 +444,7 @@ def test_sweep_agrees_with_colon_referee():
             expected.setdefault(prime, vec)
         assert set(expected) == {prime for _, prime in colon_cells}, J
 
-        witnessed = associated_primes(J, with_witnesses=True)
+        witnessed = associated_primes(J)
         assert list(witnessed) == sorted(expected, key=lambda p: (len(p), p)), J
         assert {p: w.vector for p, w in witnessed.items()} == expected, J
         components = sorted(c.vector for c in irreducible_decomposition(J))
@@ -463,7 +502,7 @@ def test_column_certificate_equals_generator_scan():
     # corpus so does every one-step move of a witness inside the box, which
     # the certificate must refuse or accept exactly as the scan does
     witness_powers = [
-        power_generators(lambda_value_witness(d, i)[0], k)
+        power_generators(lambda_value_witness(d, i), k)
         for d in range(2, 6)
         for i in range(2, d + 1)
         for k in (i - 1, i)
@@ -473,7 +512,7 @@ def test_column_certificate_equals_generator_scan():
     for J, with_moves in cases:
         bounds = [max(column) for column in zip(*J.vectors)]
         columns = assprimes._columns(J.vectors, bounds)
-        for prime, witness in associated_primes(J, with_witnesses=True).items():
+        for prime, witness in associated_primes(J).items():
             w, p = witness.vector, tuple(J.ground.position(i) for i in prime)
             moves = [
                 w[:j] + (e + step,) + w[j + 1 :]
@@ -519,14 +558,14 @@ def test_witness_is_first_socle_cell_of_its_prime():
     cases = [
         J for n in range(1, 6) for u in all_squarefree(n) for J in _powers(expand_squarefree(u), 3)
     ]
-    cases.append(power_generators(lambda_value_witness(6, 3)[0], 3))
+    cases.append(power_generators(lambda_value_witness(6, 3), 3))
     for J in cases:
         bounds, cells = assprimes._socle_cells(J, assprimes.CELL_CEILING)
         first = {}
         for w in cells:
             prime = tuple(i for i, e, b in zip(J.ground, w, bounds) if e < b)
             first.setdefault(prime, w)
-        witnessed = associated_primes(J, with_witnesses=True)
+        witnessed = associated_primes(J)
         assert {p: w.vector for p, w in witnessed.items()} == first, J
 
 

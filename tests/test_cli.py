@@ -396,7 +396,7 @@ def test_persistence_violation_exits_3(monkeypatch):
         # to I^2, now seems to drop out of the second power
         profile = real(*args)
         return assprimes.AssProfile(
-            profile.u, profile.n, profile.kmax, profile.witnesses_by_power[::-1], None
+            profile.u, profile.kmax, profile.witnesses_by_power[::-1], None
         )
 
     monkeypatch.setattr(assprimes, "ass_profile", reversed_powers)

@@ -20,6 +20,7 @@ from borelstab import (
     stable_membership_combinatorial,
     stable_set_enumerate,
 )
+from borelstab import stability
 from conftest import (
     WORKED_TABLE,
     all_squarefree,
@@ -110,19 +111,19 @@ class TestEverAssociated:
 
 class TestLambdaValueWitness:
     def test_instances(self):
-        u, n = lambda_value_witness(3, 2)
-        assert (u.indices, n) == ((2, 4, 5), 5)
-        u, n = lambda_value_witness(2, 2)
-        assert (u.indices, n) == ((2, 3), 3)
-        u, n = lambda_value_witness(4, 4)
-        assert (u.indices, n) == ((2, 3, 4, 5), 5)
+        u = lambda_value_witness(3, 2)
+        assert (u.indices, len(u.ground)) == ((2, 4, 5), 5)
+        u = lambda_value_witness(2, 2)
+        assert (u.indices, len(u.ground)) == ((2, 3), 3)
+        u = lambda_value_witness(4, 4)
+        assert (u.indices, len(u.ground)) == ((2, 3, 4, 5), 5)
         assert lambda_max_ideal(u) == 4
 
     def test_full_range(self):
         for d in range(2, 7):
             for i in range(2, d + 1):
-                u, n = lambda_value_witness(d, i)
-                assert u.degree == d and n == 2 * d - i + 1
+                u = lambda_value_witness(d, i)
+                assert u.degree == d and len(u.ground) == 2 * d - i + 1
                 assert lambda_max_ideal(u) == i
 
     def test_out_of_range(self):
@@ -224,6 +225,34 @@ class TestMembershipRoutes:
                     A = VariableSubset(g, members)
                     assert stable_membership_direct(u, A) == (
                         stable_membership_combinatorial(u, A)
+                    ), (u, members)
+
+    def test_referee_never_localizes(self, monkeypatch):
+        # with the closed form broken the referee still answers, and as
+        # the direct route did beforehand: a fault in localize_closed_form
+        # cannot reach both routes
+        cases = [
+            (u, VariableSubset(u.ground, members))
+            for n in range(1, 6)
+            for u in all_squarefree(n)
+            for members in all_subsets(n)
+        ]
+        expected = [lambda_of_prime(u, A) != math.inf for u, A in cases]
+
+        def broken(u, A):
+            raise AssertionError("the referee localized u")
+
+        monkeypatch.setattr(stability, "localize_closed_form", broken)
+        assert [stable_membership_combinatorial(u, A) for u, A in cases] == expected
+
+    def test_unit_counting_rule_matches_closed_form(self):
+        # u_A is the unit ideal iff at least t elements of A are at most i_t
+        for n in range(1, 8):
+            for u in all_squarefree(n):
+                for members in all_subsets(n):
+                    A = VariableSubset(u.ground, members)
+                    assert stability._localizes_to_unit(u, A) == (
+                        localize_closed_form(u, A).is_unit_ideal
                     ), (u, members)
 
 

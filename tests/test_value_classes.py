@@ -27,7 +27,7 @@ FIELDS = {
     VariableSubset: {"ambient": G, "members": (1, 3)},
     LocalizedGenerator: {"indices": (2, 3), "ground": (2, 3)},
     QuotientProfile: {
-        "n": 3, "k": 2, "colon_sets": (frozenset(), frozenset({1})),
+        "k": 2, "colon_sets": (frozenset(), frozenset({1})),
         "q": 1, "depth": 1, "m_in_ass": False,
     },
     IntervalDecomposition: {"blocks": ((2, 3),), "lengths": (1,), "gaps": (1,)},
@@ -36,10 +36,10 @@ FIELDS = {
         "stability_index": 2,
     },
     IrreducibleComponent: {"ground": G, "vector": (1, 0, 2)},
-    AssProfile: {"u": U, "n": 3, "kmax": 1, "witnesses_by_power": ((),), "stable_from": None},
-    PersistenceReport: {"u": U, "n": 3, "kmax": 2, "violations": ()},
+    AssProfile: {"u": U, "kmax": 1, "witnesses_by_power": ((),), "stable_from": None},
+    PersistenceReport: {"u": U, "kmax": 2, "violations": ()},
     CrossValidationReport: {
-        "u": U, "n": 3, "kmax": 2, "depth_checks": 1, "localization_checks": 2,
+        "u": U, "kmax": 2, "depth_checks": 1, "localization_checks": 2,
         "membership_checks": 3, "sharpness_checks": 4,
     },
 }  # fmt: skip
