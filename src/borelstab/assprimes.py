@@ -434,14 +434,13 @@ def cross_validate(
     The dict is seeded with the verdicts on the powers of ``I`` under the
     key of the empty ``A``, so every subset takes the same path.
 
-    Like :func:`stable_set_enumerate`, it walks all 2^n subsets, so an
-    ``n`` above ``enumeration_bound`` is refused first.
+    Like :func:`stable_set_enumerate`, it walks all 2^n subsets, so a
+    ground set of ``u`` larger than ``enumeration_bound`` is refused first.
     """
-    if n is None:
-        n = len(u.ground)
-    if n > enumeration_bound:
-        raise ValueError(f"n={n} exceeds the enumeration bound {enumeration_bound}")
+    if len(u.ground) > enumeration_bound:
+        raise ValueError(f"n={len(u.ground)} exceeds the enumeration bound {enumeration_bound}")
     profile, powers = _profile_and_powers(u, n, kmax, ceiling)
+    n = len(u.ground)
     base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
     ass_sets = [set(profile.primes_at(k)) for k in ks]
     formula = [quotient_profile(u, k).q == n - 1 for k in ks]
@@ -472,7 +471,8 @@ def cross_validate(
             names = ("expected", "observed")
             membership += _compare(expected, in_ass, "membership", u, combo, lam, names)
             if lam <= kmax:
-                sharp = in_ass[int(lam) - 1] and (lam == 1 or not in_ass[int(lam) - 2])
+                # membership passed and lam <= kmax, so True is in in_ass
+                sharp = in_ass.index(True) + 1 == lam
                 sharpness += _compare([sharp], [True], "sharpness", u, combo, lam)
     return CrossValidationReport(u, kmax, depth, localization, membership, sharpness)
 

@@ -17,7 +17,9 @@ Every verb maps to one library operation or scan:
 The ground set is exactly one of ``--n`` (labels 1..n) or ``--vars``
 (explicit labels); giving both, or neither, is a usage error.  Each verb
 returns its result as a JSON object or as table lines, and :func:`run`
-prints it: one place from argv to output.
+prints it: one place from argv to output.  Each subparser carries its
+handler, and :func:`run` parses ``--u`` once, after the config, the
+``--kmax`` ceiling and the ground set, and hands it to the handler.
 
 A process loads only the modules its verb runs: each handler imports its
 own.  Every verb loads ``cli``, ``jsonio`` and ``monomials`` (which holds
@@ -92,25 +94,21 @@ def _ground_from_args(args) -> GroundSet:
     return GroundSet.contiguous(args.n)
 
 
-def _cmd_ideal(args, ground):
+def _cmd_ideal(args, u):
     """expand and power: the generators of one ideal."""
     from .borel import borel_closure, power_generators
 
-    if args.verb == "expand":
-        J = borel_closure(_usage(parse_monomial, args.u, ground), args.k)
-    else:
-        J = power_generators(_usage(parse_squarefree, args.u, ground), args.k)
+    J = (borel_closure if args.verb == "expand" else power_generators)(u, args.k)
     if args.format == "json":
         return jsonio.ideal_to_obj(J), 0
     return [f"# {len(J)} generators over {J.ground}", *map(str, J.generators)], 0
 
 
-def _cmd_localize(args, ground):
+def _cmd_localize(args, u):
     from . import localization
     from .borel import expand_squarefree
 
-    u = _usage(parse_squarefree, args.u, ground)
-    A = _usage(localization.parse_subset, args.A or "", ground)
+    A = _usage(localization.parse_subset, args.A or "", u.ground)
     local = localization.localize_closed_form(u, A)
     expansion = localization.localized_expansion(u, A)
     if not A.is_everything and A.members:
@@ -124,10 +122,9 @@ def _cmd_localize(args, ground):
     return [f"u_A = {_generator_str(local)} over vars={labels}", f"localized ideal = {ideal}"], 0
 
 
-def _cmd_colon_profile(args, ground):
+def _cmd_colon_profile(args, u):
     from . import quotients
 
-    u = _usage(parse_squarefree, args.u, ground)
     J, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
         return jsonio.quotient_profile_to_obj(u, profile), 0
@@ -139,11 +136,10 @@ def _cmd_colon_profile(args, ground):
     return lines + [f"q = {profile.q}", f"depth = {profile.depth}", f"m_in_ass = {flag}"], 0
 
 
-def _cmd_max_ideal(args, ground):
+def _cmd_max_ideal(args, u):
     """lambda and ever-associated: one value of the maximal ideal."""
     from . import stability
 
-    u = _usage(parse_squarefree, args.u, ground)
     if args.verb == "lambda":
         key, value = "lambda", jsonio.lambda_to_obj(stability.lambda_max_ideal(u))
     else:
@@ -153,10 +149,9 @@ def _cmd_max_ideal(args, ground):
     return [str(value).lower()], 0
 
 
-def _cmd_stable_set(args, ground):
+def _cmd_stable_set(args, u):
     from . import stability
 
-    u = _usage(parse_squarefree, args.u, ground)
     entries = stability.stable_set_enumerate(u, members_only=not args.all, **args.bound)
     if args.paper_order:
         entries.sort(key=lambda e: (-len(e.subset), e.subset))
@@ -176,10 +171,9 @@ def _cmd_stable_set(args, ground):
     return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows], 0
 
 
-def _cmd_ass(args, ground):
+def _cmd_ass(args, u):
     from . import assprimes
 
-    u = _usage(parse_squarefree, args.u, ground)
     profile = assprimes.ass_profile(u, kmax=args.kmax, **args.ceiling)
     if args.format == "json":
         return jsonio.ass_profile_to_obj(profile), 0
@@ -190,10 +184,9 @@ def _cmd_ass(args, ground):
     return lines + [f"stable_from = {profile.stable_from}"], 0
 
 
-def _cmd_persist(args, ground):
+def _cmd_persist(args, u):
     from . import assprimes
 
-    u = _usage(parse_squarefree, args.u, ground)
     report = assprimes.persistence_scan(u, kmax=args.kmax, **args.ceiling)
     status = 0 if report.ok else 3
     if args.format == "json":
@@ -203,20 +196,14 @@ def _cmd_persist(args, ground):
     return [f"VIOLATION: {_prime_str(p)} in Ass(I^{k}) only" for k, p in report.violations], status
 
 
-def _cmd_validate(args, ground):
+def _cmd_validate(args, u):
     from . import assprimes
 
-    u = _usage(parse_squarefree, args.u, ground)
     report = assprimes.cross_validate(u, kmax=args.kmax, **args.ceiling, **args.bound)
+    obj = jsonio.cross_validation_to_obj(report)
     if args.format == "json":
-        return jsonio.cross_validation_to_obj(report), 0
-    total = (
-        report.depth_checks
-        + report.localization_checks
-        + report.membership_checks
-        + report.sharpness_checks
-    )
-    return [f"all {total} checks passed (kmax={args.kmax})"], 0
+        return obj, 0
+    return [f"all {sum(obj['checks'].values())} checks passed (kmax={args.kmax})"], 0
 
 
 def _load_config(path: str | None) -> dict:
@@ -250,53 +237,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with scan ceilings")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, with_k=False, with_kmax=False):
+    def verb(name, handler, summary, **counter):
+        """A subparser carrying its handler, with ``--u``, the ground set,
+        ``--format`` and the integer options in ``counter`` (``k`` or
+        ``kmax``, each with its default)."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--u", required=True, help="monomial, e.g. 1,3,4,5 or 2^2,3")
         ground = p.add_mutually_exclusive_group(required=True)
         ground.add_argument("--n", type=int, help="contiguous ground set 1..n")
         ground.add_argument("--vars", help="explicit ground set labels, e.g. 2,3,5")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if with_k:
-            p.add_argument("--k", type=int, default=1)
-        if with_kmax:
-            p.add_argument("--kmax", type=int, default=3)
+        for flag, default in counter.items():
+            p.add_argument(f"--{flag}", type=int, default=default)
+        p.set_defaults(handler=handler)
+        return p
 
-    common(sub.add_parser("expand", help="Borel closure under a cap"), with_k=True)
-    common(sub.add_parser("power", help="generators of the k-th power"), with_k=True)
-    loc = sub.add_parser("localize", help="monomial localization at P_A")
-    common(loc)
+    verb("expand", _cmd_ideal, "Borel closure under a cap", k=1)
+    verb("power", _cmd_ideal, "generators of the k-th power", k=1)
+    loc = verb("localize", _cmd_localize, "monomial localization at P_A")
     loc.add_argument("--A", help="subset, e.g. 1,5 (empty for no localization)")
-    common(sub.add_parser("colon-profile", help="q, depth and colon sets"), with_k=True)
-    common(sub.add_parser("lambda", help="stability index of the maximal ideal"))
-    common(sub.add_parser("ever-associated", help="is the maximal ideal ever associated"))
+    verb("colon-profile", _cmd_colon_profile, "q, depth and colon sets", k=1)
+    verb("lambda", _cmd_max_ideal, "stability index of the maximal ideal")
+    verb("ever-associated", _cmd_max_ideal, "is the maximal ideal ever associated")
     for name in ("stable-set", "table"):
-        p = sub.add_parser(name, help="stable set of associated primes")
-        common(p)
+        p = verb(name, _cmd_stable_set, "stable set of associated primes")
         p.add_argument("--all", action="store_true", help="include non-members")
         p.add_argument(
             "--paper-order",
             action="store_true",
             help="reference row order: largest subsets first",
         )
-    common(sub.add_parser("ass", help="brute-force associated primes"), with_kmax=True)
-    common(sub.add_parser("persist", help="persistence scan"), with_kmax=True)
-    common(sub.add_parser("validate", help="cross-validate formulas vs oracle"), with_kmax=True)
+    verb("ass", _cmd_ass, "brute-force associated primes", kmax=3)
+    verb("persist", _cmd_persist, "persistence scan", kmax=3)
+    verb("validate", _cmd_validate, "cross-validate formulas vs oracle", kmax=3)
     return parser
-
-
-_HANDLERS = {
-    "expand": _cmd_ideal,
-    "power": _cmd_ideal,
-    "localize": _cmd_localize,
-    "colon-profile": _cmd_colon_profile,
-    "lambda": _cmd_max_ideal,
-    "ever-associated": _cmd_max_ideal,
-    "stable-set": _cmd_stable_set,
-    "table": _cmd_stable_set,
-    "ass": _cmd_ass,
-    "persist": _cmd_persist,
-    "validate": _cmd_validate,
-}
 
 
 def run(argv, out=None, err=None) -> int:
@@ -316,7 +290,9 @@ def run(argv, out=None, err=None) -> int:
         max_kmax = config.get("max_kmax", 6)
         if getattr(args, "kmax", None) is not None and args.kmax > max_kmax:
             raise ValueError(f"kmax={args.kmax} above the configured ceiling {max_kmax}")
-        payload, status = _HANDLERS[args.verb](args, _ground_from_args(args))
+        ground = _ground_from_args(args)
+        parse = parse_monomial if args.verb == "expand" else parse_squarefree
+        payload, status = args.handler(args, _usage(parse, args.u, ground))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 2

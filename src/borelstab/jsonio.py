@@ -3,7 +3,9 @@
 Monomials become ``{"index": exponent}`` objects with string keys, primes
 become sorted label arrays, and an infinite stability index becomes the
 string ``"inf"``.  The encoders only write: no verb reads JSON back, and
-the CLI goldens pin every encoder's output byte for byte.
+the CLI goldens pin every encoder's output byte for byte.  Every result
+about one generator ``u`` opens with the same header, ``schema``, ``u``
+and ``n``, built in one place.
 """
 
 from __future__ import annotations
@@ -34,10 +36,15 @@ def lambda_to_obj(value: int | float) -> int | str:
     return "inf" if value == math.inf else int(value)
 
 
+def _header(u: SquarefreeMonomial, **fields: Any) -> dict[str, Any]:
+    """``schema``, ``u`` and ``n``, then ``fields`` in their order."""
+    return {"schema": SCHEMA_VERSION, "u": squarefree_to_obj(u), "n": len(u.ground), **fields}
+
+
 def max_ideal_to_obj(u: SquarefreeMonomial, key: str, value: Any) -> dict[str, Any]:
     """One encoded value of the maximal ideal, the ``lambda`` or the
     ``ever_associated`` verdict, after the header of ``u``."""
-    return {"schema": SCHEMA_VERSION, "u": squarefree_to_obj(u), "n": len(u.ground), key: value}
+    return _header(u, **{key: value})
 
 
 def ideal_to_obj(J: MonomialIdeal) -> dict[str, Any]:
@@ -60,12 +67,7 @@ def entry_to_obj(entry: StableSetEntry) -> dict[str, Any]:
 
 
 def stable_set_to_obj(u: SquarefreeMonomial, entries) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "u": squarefree_to_obj(u),
-        "n": len(u.ground),
-        "entries": [entry_to_obj(e) for e in entries],
-    }
+    return _header(u, entries=[entry_to_obj(e) for e in entries])
 
 
 def localization_to_obj(
@@ -88,16 +90,14 @@ def localization_to_obj(
 
 
 def quotient_profile_to_obj(u: SquarefreeMonomial, profile: QuotientProfile) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "u": squarefree_to_obj(u),
-        "n": len(u.ground),
-        "k": profile.k,
-        "colon_sets": [sorted(s) for s in profile.colon_sets],
-        "q": profile.q,
-        "depth": profile.depth,
-        "m_in_ass": profile.m_in_ass,
-    }
+    return _header(
+        u,
+        k=profile.k,
+        colon_sets=[sorted(s) for s in profile.colon_sets],
+        q=profile.q,
+        depth=profile.depth,
+        m_in_ass=profile.m_in_ass,
+    )
 
 
 def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
@@ -114,41 +114,22 @@ def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
                 ],
             }
         )
-    return {
-        "schema": SCHEMA_VERSION,
-        "u": squarefree_to_obj(profile.u),
-        "n": len(profile.u.ground),
-        "kmax": profile.kmax,
-        "powers": powers,
-        "stable_from": profile.stable_from,
-    }
+    return _header(profile.u, kmax=profile.kmax, powers=powers, stable_from=profile.stable_from)
 
 
 def persistence_to_obj(report: PersistenceReport) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "u": squarefree_to_obj(report.u),
-        "n": len(report.u.ground),
-        "kmax": report.kmax,
-        "violations": [{"k": k, "prime": list(p)} for k, p in report.violations],
-        "ok": report.ok,
-    }
+    violations = [{"k": k, "prime": list(p)} for k, p in report.violations]
+    return _header(report.u, kmax=report.kmax, violations=violations, ok=report.ok)
 
 
 def cross_validation_to_obj(report: CrossValidationReport) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "u": squarefree_to_obj(report.u),
-        "n": len(report.u.ground),
-        "kmax": report.kmax,
-        "checks": {
-            "depth": report.depth_checks,
-            "localization": report.localization_checks,
-            "membership": report.membership_checks,
-            "sharpness": report.sharpness_checks,
-        },
-        "ok": True,
+    checks = {
+        "depth": report.depth_checks,
+        "localization": report.localization_checks,
+        "membership": report.membership_checks,
+        "sharpness": report.sharpness_checks,
     }
+    return _header(report.u, kmax=report.kmax, checks=checks, ok=True)
 
 
 def emit(obj: Any) -> str:

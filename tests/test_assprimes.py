@@ -336,6 +336,28 @@ class TestCrossValidate:
             "'lambda': 2.5}"
         )
 
+    @pytest.mark.parametrize(
+        "kmax, A, lam", [(1, (1,), 0.5), (2, (), 1.5)], ids=["kmax1", "kmax2"]
+    )
+    def test_sharpness_failure_below_two(self, monkeypatch, kmax, A, lam):
+        # indices forged half a power early on x2x3 over 1..3: an index
+        # below 1 at kmax = 1 still yields a reproducer, not an IndexError
+        real = assprimes.lambda_of_prime
+        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: real(u, A) - 0.5)
+        with pytest.raises(CrossValidationError) as failure:
+            cross_validate(sf(GroundSet.contiguous(3), 2, 3), kmax=kmax)
+        assert str(failure.value) == (
+            f"oracle mismatch: {{'check': 'sharpness', 'u': 'x_2x_3', 'A': {A}, "
+            f"'lambda': {lam}}}"
+        )
+
+    def test_n_mismatch_reported_before_enumeration_bound(self):
+        # the bound reads the ground set of u, so a wrong n is named as such
+        u = sf(GroundSet.contiguous(3), 2, 3)
+        for scan in (cross_validate, ass_profile):
+            with pytest.raises(ValueError, match="^n=99 does not match ground set of size 3$"):
+                scan(u, 99)
+
     def test_every_subset_checked_oracle_once_per_ideal(self, monkeypatch):
         # every subset runs its comparisons, while the oracle runs kmax
         # times per distinct non-unit projection of I off A, plus kmax

@@ -287,6 +287,29 @@ class TestExitCodes:
         assert code == 1 and "ceiling" in err
 
 
+# Requests with two faults each, and the one a request reports: the
+# config file, the --kmax ceiling, the ground set, --u, then the verb's own
+# arguments and the library's refusals.
+FIRST_FAULT = [
+    ("ass --u 2,9 --n 3 --kmax 7", 1, "error: kmax=7 above the configured ceiling 6"),
+    ("ass --u 2,3 --n 0 --kmax 7", 1, "error: kmax=7 above the configured ceiling 6"),
+    ("localize --u 2,9 --n 3 --A 1,x", 2, "usage error: x_9 not in ground set (1, 2, 3)"),
+    ("expand --u 2^2,9 --n 3 --k 0", 2, "usage error: x_9 not in ground set (1, 2, 3)"),
+    (
+        "power --u 2^2,3 --n 3 --k 0",
+        2,
+        "usage error: '2^2,3' is not a non-unit squarefree monomial",
+    ),
+    ("stable-set --u 2,x --n 13", 2, "usage error: malformed monomial term 'x'"),
+    ("validate --u 5 --n 13 --kmax 7", 1, "error: kmax=7 above the configured ceiling 6"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", FIRST_FAULT, ids=[f[0] for f in FIRST_FAULT])
+def test_first_fault_reported(argv, code, message):
+    assert invoke(argv.split()) == (code, "", message + "\n")
+
+
 class TestDeterminism:
     def test_ass_json_golden(self):
         golden = (DATA / "ass_u1345_n5_kmax3.json").read_text()
