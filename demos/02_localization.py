@@ -26,7 +26,7 @@ for members in [(1,), (1, 5), (1, 2), (2, 3, 4, 5)]:
     local = localize_closed_form(u, A)
     sat = localize_by_saturation(J, A)
     print(f"A={members}: u_A supported on {local.indices},",
-          f"ring on {local.ground}")
+          f"ring on {local.ground.indices}")
     print(f"          saturation gives {sat}")
 
 print()
@@ -34,7 +34,7 @@ print("a localization can swallow the generator entirely:")
 g3 = GroundSet.contiguous(3)
 v = SquarefreeMonomial(g3, (1, 3))
 gone = localize_closed_form(v, VariableSubset(g3, (1, 3)))
-print("  u =", v, " A={1,3} ->  unit ideal?", gone.is_unit_ideal)
+print("  u =", v, " A={1,3} ->  unit ideal?", gone is None)
 
 print()
 print("localizing in two stages equals localizing once:")

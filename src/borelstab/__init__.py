@@ -21,8 +21,8 @@ _EXPORTS = {
         persistence_scan""",
     "borel": """NotPrincipalError borel_closure expand_squarefree extract_borel_generator
         is_power_generator is_strongly_stable power_generators""",
-    "localization": """LocalizedGenerator VariableSubset localize_by_saturation
-        localize_closed_form localized_expansion parse_subset""",
+    "localization": """VariableSubset localize_by_saturation localize_closed_form
+        localized_expansion parse_subset""",
     "monomials": """CrossValidationError GroundSet GroundSetMismatch Monomial MonomialIdeal
         ResourceLimitError SquarefreeMonomial colon ideal_power minimalize parse_monomial
         parse_squarefree saturate""",

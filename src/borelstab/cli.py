@@ -17,9 +17,11 @@ Every verb maps to one library operation or scan:
 The ground set is exactly one of ``--n`` (labels 1..n) or ``--vars``
 (explicit labels); giving both, or neither, is a usage error.  Each verb
 returns its result as a JSON object or as table lines, and :func:`run`
-prints it: one place from argv to output.  Each subparser carries its
-handler, and :func:`run` parses ``--u`` once, after the config, the
-``--kmax`` ceiling and the ground set, and hands it to the handler.
+prints it: one place from argv to output.  Argparse's own usage errors
+and ``--help`` also go to the streams :func:`run` is given.  Each
+subparser carries its handler, and :func:`run` parses ``--u`` once, after
+the config, the ``--kmax`` ceiling and the ground set, and hands it to the
+handler.
 
 A process loads only the modules its verb runs: each handler imports its
 own.  Every verb loads ``cli``, ``jsonio`` and ``monomials`` (which holds
@@ -41,6 +43,7 @@ equal invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -79,8 +82,8 @@ def _prime_str(labels) -> str:
 
 
 def _generator_str(local) -> str:
-    """A localized generator ``u_A``; the whole ring shows as 1."""
-    return "".join(f"x_{i}" for i in local.indices) or "1"
+    """A localized generator ``u_A``; the whole ring (None) shows as 1."""
+    return "1" if local is None else "".join(f"x_{i}" for i in local.indices)
 
 
 def _ground_from_args(args) -> GroundSet:
@@ -117,7 +120,7 @@ def _cmd_localize(args, u):
             raise AssertionError("closed form and saturation disagree")
     if args.format == "json":
         return jsonio.localization_to_obj(u, A, local, expansion), 0
-    labels = ",".join(map(str, local.ground)) or "-"
+    labels = ",".join(map(str, A.complement)) or "-"
     ideal = "(1)  [whole ring]" if expansion is None else str(expansion)
     return [f"u_A = {_generator_str(local)} over vars={labels}", f"localized ideal = {ideal}"], 0
 
@@ -278,9 +281,9 @@ def run(argv, out=None, err=None) -> int:
     requested format; returns the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

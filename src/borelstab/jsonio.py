@@ -2,7 +2,9 @@
 
 Monomials become ``{"index": exponent}`` objects with string keys, primes
 become sorted label arrays, and an infinite stability index becomes the
-string ``"inf"``.  The encoders only write: no verb reads JSON back, and
+string ``"inf"``.  A localized generator ``u_A`` is encoded by
+:func:`squarefree_to_obj` like ``u`` itself, and the whole ring (``u_A``
+None) as ``{}``.  The encoders only write: no verb reads JSON back, and
 the CLI goldens pin every encoder's output byte for byte.  Every result
 about one generator ``u`` opens with the same header, ``schema``, ``u``
 and ``n``, built in one place.
@@ -16,7 +18,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .assprimes import AssProfile, CrossValidationReport, PersistenceReport
-    from .localization import LocalizedGenerator
     from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
     from .quotients import QuotientProfile
     from .stability import StableSetEntry
@@ -29,7 +30,7 @@ def monomial_to_obj(w: Monomial) -> dict[str, int]:
 
 
 def squarefree_to_obj(u: SquarefreeMonomial) -> dict[str, int]:
-    return monomial_to_obj(u.to_monomial())
+    return {str(i): 1 for i in u.indices}
 
 
 def lambda_to_obj(value: int | float) -> int | str:
@@ -56,10 +57,9 @@ def ideal_to_obj(J: MonomialIdeal) -> dict[str, Any]:
 
 
 def entry_to_obj(entry: StableSetEntry) -> dict[str, Any]:
-    ua = {str(i): 1 for i in entry.generator.indices}
     return {
         "A": list(entry.subset),
-        "uA": ua,
+        "uA": {} if entry.generator is None else squarefree_to_obj(entry.generator),
         "prime": list(entry.prime),
         "member": entry.member,
         "lambda": lambda_to_obj(entry.stability_index),
@@ -73,16 +73,16 @@ def stable_set_to_obj(u: SquarefreeMonomial, entries) -> dict[str, Any]:
 def localization_to_obj(
     u: SquarefreeMonomial,
     A,
-    local: LocalizedGenerator,
+    local: SquarefreeMonomial | None,
     expansion: MonomialIdeal | None,
 ) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "u": squarefree_to_obj(u),
         "A": list(A.members),
-        "uA": {str(i): 1 for i in local.indices},
-        "ground": list(local.ground),
-        "unit_ideal": local.is_unit_ideal,
+        "uA": {} if local is None else squarefree_to_obj(local),
+        "ground": list(A.complement),
+        "unit_ideal": local is None,
         "generators": [monomial_to_obj(g) for g in expansion.generators]
         if expansion is not None
         else [],

@@ -9,6 +9,9 @@ For a squarefree principal Borel ideal the localization is again one, and
 its generator ``u_A`` is obtained in closed form: each ``k`` in ``A``
 removes from the current generator the smallest support index that is at
 least ``k`` (and does nothing when ``k`` exceeds the current maximum).
+``u_A`` is a :class:`SquarefreeMonomial` over the complement of ``A``, so
+every function on generators applies to it unchanged; when every support
+index is struck the localization is the whole ring and ``u_A`` is None.
 The closed form and the saturation route are kept separate so that each
 can check the other.
 """
@@ -70,35 +73,6 @@ def parse_subset(text: str, ambient: GroundSet) -> VariableSubset:
     return VariableSubset(ambient, members)
 
 
-@_value
-class LocalizedGenerator:
-    """Result of localizing a squarefree Borel generator.
-
-    ``indices`` is the support of ``u_A`` in original labels and
-    ``ground`` the complement of ``A``.  When every variable of the
-    generator got absorbed the localized ideal is the whole ring; that
-    degenerate case is flagged explicitly by :attr:`is_unit_ideal` (then
-    ``indices`` is empty, and ``ground`` may be empty too when ``A`` was
-    the full ambient set).
-    """
-
-    indices: tuple[int, ...]
-    ground: tuple[int, ...]
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return not self.indices
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def as_squarefree(self) -> SquarefreeMonomial:
-        if self.is_unit_ideal:
-            raise ValueError("localized ideal is the whole ring")
-        return SquarefreeMonomial(GroundSet(self.ground), self.indices)
-
-
 def _strike_once(indices: tuple[int, ...], k: int) -> tuple[int, ...]:
     """One single-variable step: drop the smallest support index >= k."""
     if not indices or k > indices[-1]:
@@ -107,8 +81,10 @@ def _strike_once(indices: tuple[int, ...], k: int) -> tuple[int, ...]:
     return indices[:j] + indices[j + 1 :]
 
 
-def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> LocalizedGenerator:
-    """The Borel generator ``u_A`` of the localization at ``P_A``.
+def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> SquarefreeMonomial | None:
+    """The Borel generator ``u_A`` of the localization at ``P_A``, over the
+    complement of ``A``; None when every support index is struck and the
+    localization is the whole ring (always so when ``A`` is everything).
 
     Steps are applied in increasing order of ``A``; the result does not
     depend on that order (asserted in the tests, not assumed).  Each
@@ -123,7 +99,7 @@ def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> LocalizedG
         current = _strike_once(current, k)
         if len(current) != (before - 1 if fires else before):
             raise AssertionError(f"striking {k} from {u} changed the degree wrongly")
-    return LocalizedGenerator(current, A.complement)
+    return SquarefreeMonomial(GroundSet(A.complement), current) if current else None
 
 
 def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal:
@@ -155,13 +131,10 @@ def _projected(J: MonomialIdeal, A: VariableSubset) -> list[tuple[int, ...]]:
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:
     """Expansion of ``u_A`` over the complement, or None for the unit ideal."""
     local = localize_closed_form(u, A)
-    if local.is_unit_ideal:
-        return None
-    return expand_squarefree(local.as_squarefree())
+    return None if local is None else expand_squarefree(local)
 
 
 __all__ = [
-    "LocalizedGenerator",
     "VariableSubset",
     "localize_by_saturation",
     "localize_closed_form",

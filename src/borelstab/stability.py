@@ -12,17 +12,19 @@ lengths ``l_j`` and gap lengths ``gap_j``,
     lambda = max_j  ceil( (l_1+...+l_j) / (gap_1+...+gap_j) ) + 1.
 
 A prime ``P_A`` is eventually associated iff the maximal ideal of the
-localized ring is, that is iff its index ``lambda_A``, the maximal-ideal
-index of the localized generator ``u_A``, is finite.  That is the direct
-route: membership is ``lambda_A < inf``.  Its referee is the purely
+localized ring is, that is iff its index ``lambda_A`` is finite: ``u_A``
+is a squarefree generator over the complement of ``A``, and ``lambda_A``
+is :func:`lambda_max_ideal` of it, the one index function.  That is the
+direct route: membership is ``lambda_A < inf``.  Its referee is the purely
 combinatorial route on ``u`` and ``A`` alone, which never localizes
 ``u``; :func:`stable_set_enumerate` raises whenever the two disagree.
 
 One-variable degenerate case: the general theory excludes a generator
 equal to the single variable of its ring, but such localizations do occur
 (the localized ideal is then the maximal ideal itself); they are members
-with index 1.  A localized generator that collapses to the unit monomial
-makes the localization the whole ring: never a member.
+with index 1.  When every support index is struck, the localization is
+the whole ring and :func:`~borelstab.localization.localize_closed_form`
+returns None for ``u_A``: its index is inf, so it is never a member.
 
 :func:`lambda_value_witness` has no caller in the package.  It stays as the
 construction of a generator for each index value, which the tests check
@@ -35,34 +37,12 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 
-from .localization import LocalizedGenerator, VariableSubset, localize_closed_form
+from .localization import VariableSubset, localize_closed_form
 from .monomials import GroundSet, SquarefreeMonomial, _value
 
 INFINITE = math.inf
 
 DEFAULT_ENUMERATION_BOUND = 12  # stable_set_enumerate walks all 2^n subsets
-
-
-def _runs(indices, ground) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Maximal runs of consecutive 1-based positions of the labels
-    ``indices`` in the sorted labels ``ground``, the last run ending at the
-    last position, with their recorded lengths and the gaps before them."""
-    pos = [bisect_left(ground, i) + 1 for i in indices]
-    runs: list[tuple[int, int]] = []
-    start = prev = pos[0]
-    for p in pos[1:]:
-        if p != prev + 1:
-            runs.append((start, prev))
-            start = p
-        prev = p
-    runs.append((start, prev))
-    lengths = [b - a + 1 for a, b in runs]
-    lengths[-1] = len(ground) - start
-    gaps = [runs[0][0] - 1]
-    gaps += [a - pb - 1 for (_, pb), (a, _) in zip(runs, runs[1:])]
-    if sum(lengths) != len(pos) - 1:
-        raise AssertionError(f"interval lengths of {indices} do not sum to deg - 1")
-    return runs, lengths, gaps
 
 
 @_value
@@ -88,7 +68,21 @@ def interval_decomposition(u: SquarefreeMonomial) -> IntervalDecomposition:
     labels = u.ground.indices
     if u.max_index != labels[-1]:
         raise ValueError(f"max(u) = {u.max_index} but the ground set tops out at {labels[-1]}")
-    runs, lengths, gaps = _runs(u.indices, labels)
+    pos = [bisect_left(labels, i) + 1 for i in u.indices]
+    runs: list[tuple[int, int]] = []
+    start = prev = pos[0]
+    for p in pos[1:]:
+        if p != prev + 1:
+            runs.append((start, prev))
+            start = p
+        prev = p
+    runs.append((start, prev))
+    lengths = [b - a + 1 for a, b in runs]
+    lengths[-1] = len(labels) - start
+    gaps = [runs[0][0] - 1]
+    gaps += [a - pb - 1 for (_, pb), (a, _) in zip(runs, runs[1:])]
+    if sum(lengths) != u.degree - 1:
+        raise AssertionError(f"interval lengths of {u} do not sum to deg - 1")
     blocks = tuple((labels[a - 1], labels[b - 1]) for a, b in runs)
     return IntervalDecomposition(blocks, tuple(lengths), tuple(gaps))
 
@@ -107,22 +101,15 @@ def lambda_max_ideal(u: SquarefreeMonomial) -> int | float:
     in degree at most 2 it equals ``deg u`` whenever it is finite, so also
     at ``x_a x_n`` for ``3 <= a < n`` (acceptance criterion 3).
     """
-    return _lambda(u.indices, u.ground.indices)
-
-
-def _lambda(indices, ground) -> int | float:
-    """:func:`lambda_max_ideal` of the support ``indices`` over the sorted
-    labels ``ground``; inf when ``indices`` is empty (the whole ring)."""
-    if not indices:
-        return INFINITE
-    if len(ground) == 1:
+    labels = u.ground.indices
+    if len(labels) == 1:
         return 1
-    if indices[0] == ground[0] or indices[-1] != ground[-1]:
+    if u.min_index == labels[0] or u.max_index != labels[-1]:
         return INFINITE
-    _, lengths, gaps = _runs(indices, ground)
+    deco = interval_decomposition(u)
     best = 0
     num = den = 0
-    for length, gap in zip(lengths, gaps):
+    for length, gap in zip(deco.lengths, deco.gaps):
         num += length
         den += gap
         if den < 1:
@@ -217,21 +204,22 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
 
 def lambda_of_prime(u: SquarefreeMonomial, A: VariableSubset) -> int | float:
     """Least power with ``P_A`` associated: the maximal-ideal index of the
-    localized generator, read off its positions in the complement of ``A``."""
+    localized generator; inf when the localization is the whole ring."""
     local = localize_closed_form(u, A)
-    return _lambda(local.indices, local.ground)
+    return INFINITE if local is None else lambda_max_ideal(local)
 
 
 @_value
 class StableSetEntry:
     """One subset ``A`` with its localized generator and membership data.
 
-    ``prime`` lists the generator labels of ``P_A``: the complement of
-    ``A``, which is also the ground set of the localized ring.
+    ``generator`` is ``u_A``, None when the localization is the whole
+    ring.  ``prime`` lists the generator labels of ``P_A``: the complement
+    of ``A``, which is also the ground set of the localized ring.
     """
 
     subset: tuple[int, ...]
-    generator: LocalizedGenerator
+    generator: SquarefreeMonomial | None
     prime: tuple[int, ...]
     member: bool
     stability_index: int | float
@@ -258,7 +246,7 @@ def stable_set_enumerate(
         for combo in itertools.combinations(labels, size):
             A = VariableSubset(u.ground, combo)
             local = localize_closed_form(u, A)
-            lam = _lambda(local.indices, local.ground)
+            lam = INFINITE if local is None else lambda_max_ideal(local)
             member = lam != INFINITE
             combinatorial = stable_membership_combinatorial(u, A)
             if member != combinatorial:

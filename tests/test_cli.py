@@ -271,11 +271,22 @@ class TestExitCodes:
         assert code == 2 and out == "" and f"usage error: malformed --vars '{labels}'" in err
 
     @pytest.mark.parametrize("labels", ["1,2,3", ""])
-    def test_usage_error_on_both_n_and_vars(self, labels, capsys):
+    def test_usage_error_on_both_n_and_vars(self, labels):
         # each alone is a different ground set: n = 5 gives inf, vars 1,2,3 gives 2
-        code, out, _ = invoke(["lambda", "--u", "2,3", "--n", "5", "--vars", labels])
+        code, out, err = invoke(["lambda", "--u", "2,3", "--n", "5", "--vars", labels])
         assert (code, out) == (2, "")
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "not allowed with argument" in err
+
+    def test_argparse_error_goes_to_the_given_err(self, capsys):
+        code, out, err = invoke(["lambda", "--u", "2,3", "--n", "3", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: borelstab") and "unrecognized arguments: --bogus" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_out(self, capsys):
+        code, out, err = invoke(["--help"])
+        assert (code, err) == (0, "") and out.startswith("usage: borelstab")
+        assert capsys.readouterr() == ("", "")
 
     def test_usage_error_on_empty_vars(self):
         code, out, err = invoke(["lambda", "--u", "2,3", "--vars", ""])
@@ -353,13 +364,14 @@ BROKEN_CLOSED_FORM = """
 import sys
 from borelstab import localization
 from borelstab.cli import run
+from borelstab.monomials import SquarefreeMonomial
 
 real = localization.localize_closed_form
 
 
 def dropped(u, A):
     local = real(u, A)
-    return localization.LocalizedGenerator(local.indices[1:], local.ground)
+    return SquarefreeMonomial(local.ground, local.indices[1:])
 
 
 localization.localize_closed_form = dropped
@@ -371,12 +383,13 @@ LOCALIZE = ["localize", "--u", "1,3,4,5", "--n", "5", "--A", "1,2"]
 
 def test_internal_fault_exits_4(monkeypatch):
     from borelstab import localization
+    from borelstab.monomials import SquarefreeMonomial
 
     real = localization.localize_closed_form
 
     def dropped(u, A):
         local = real(u, A)
-        return localization.LocalizedGenerator(local.indices[1:], local.ground)
+        return SquarefreeMonomial(local.ground, local.indices[1:])
 
     monkeypatch.setattr(localization, "localize_closed_form", dropped)
     code, out, err = invoke(LOCALIZE)

@@ -12,14 +12,15 @@ import borelstab
 
 SRC = str(Path(borelstab.__file__).resolve().parents[1])
 
-# The names the package exported when it still imported every module.
+# The names the package exported when it still imported every module, less
+# ``LocalizedGenerator``: a localized generator is a ``SquarefreeMonomial``.
 EXPORTS = [
     "AssProfile", "CrossValidationError", "CrossValidationReport", "IrreducibleComponent",
     "PersistenceReport", "ResourceLimitError", "ass_profile", "associated_primes",
     "cross_validate", "irreducible_decomposition", "m_in_ass", "persistence_scan",
     "NotPrincipalError", "borel_closure", "expand_squarefree", "extract_borel_generator",
-    "is_power_generator", "is_strongly_stable", "power_generators", "LocalizedGenerator",
-    "VariableSubset", "localize_by_saturation", "localize_closed_form", "localized_expansion",
+    "is_power_generator", "is_strongly_stable", "power_generators", "VariableSubset",
+    "localize_by_saturation", "localize_closed_form", "localized_expansion",
     "parse_subset", "GroundSet", "GroundSetMismatch", "Monomial", "MonomialIdeal",
     "SquarefreeMonomial", "colon", "ideal_power", "minimalize", "parse_monomial",
     "parse_squarefree", "saturate", "QuotientProfile", "depth_zero_witness",

@@ -189,7 +189,7 @@ class TestMaxPreserved:
                 for members in all_subsets(n):
                     A = VariableSubset(g, members)
                     loc = localize_closed_form(u, A)
-                    direct = bool(loc.indices) and loc.indices[-1] == u.max_index
+                    direct = loc is not None and loc.max_index == u.max_index
                     assert max_preserved(u, A) == direct, (u, members)
 
 
@@ -213,7 +213,7 @@ class TestMembershipRoutes:
     def test_unit_localization_is_not(self, g3):
         u = sf(g3, 1, 3)
         A = VariableSubset(g3, (1, 3))
-        assert localize_closed_form(u, A).is_unit_ideal
+        assert localize_closed_form(u, A) is None
         assert not stable_membership_direct(u, A)
         assert not stable_membership_combinatorial(u, A)
 
@@ -246,14 +246,17 @@ class TestMembershipRoutes:
         assert [stable_membership_combinatorial(u, A) for u, A in cases] == expected
 
     def test_unit_counting_rule_matches_closed_form(self):
-        # u_A is the unit ideal iff at least t elements of A are at most i_t
+        # u_A is the unit ideal iff at least t elements of A are at most i_t;
+        # any other u_A lives on the complement of A, with index lambda_A
         for n in range(1, 8):
             for u in all_squarefree(n):
                 for members in all_subsets(n):
                     A = VariableSubset(u.ground, members)
-                    assert stability._localizes_to_unit(u, A) == (
-                        localize_closed_form(u, A).is_unit_ideal
-                    ), (u, members)
+                    local = localize_closed_form(u, A)
+                    assert stability._localizes_to_unit(u, A) == (local is None), (u, members)
+                    if local is not None:
+                        assert local.ground.indices == A.complement, (u, members)
+                        assert lambda_max_ideal(local) == lambda_of_prime(u, A), (u, members)
 
 
 class TestLambdaOfPrime:

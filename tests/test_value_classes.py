@@ -1,4 +1,4 @@
-"""The semantics the 13 value classes had as frozen dataclasses, kept by
+"""The semantics the 12 value classes had as frozen dataclasses, kept by
 ``monomials._value``: construction, equality, hash, repr and immutability."""
 
 import pytest
@@ -9,14 +9,14 @@ from borelstab.assprimes import (
     IrreducibleComponent,
     PersistenceReport,
 )
-from borelstab.localization import LocalizedGenerator, VariableSubset
+from borelstab.localization import VariableSubset
 from borelstab.monomials import GroundSet, Monomial, MonomialIdeal, SquarefreeMonomial, _value
 from borelstab.quotients import QuotientProfile
 from borelstab.stability import IntervalDecomposition, StableSetEntry
 
 G = GroundSet((1, 2, 3))
 U = SquarefreeMonomial(G, (2, 3))
-LOCAL = LocalizedGenerator((2, 3), (2, 3))
+LOCAL = SquarefreeMonomial(GroundSet((2, 3)), (2, 3))  # a u_A over the complement of {1}
 
 # class -> field values, in field order
 FIELDS = {
@@ -25,7 +25,6 @@ FIELDS = {
     SquarefreeMonomial: {"ground": G, "indices": (2, 3)},
     MonomialIdeal: {"ground": G, "vectors": ((1, 0, 0), (0, 1, 0))},
     VariableSubset: {"ambient": G, "members": (1, 3)},
-    LocalizedGenerator: {"indices": (2, 3), "ground": (2, 3)},
     QuotientProfile: {
         "k": 2, "colon_sets": (frozenset(), frozenset({1})),
         "q": 1, "depth": 1, "m_in_ass": False,
