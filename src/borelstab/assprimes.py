@@ -19,14 +19,14 @@ a bug, not a data condition, and raises immediately.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership).
-Each subset lists the verdicts ``P_A in Ass(I^k)`` once, and one helper,
+It checks the rows of :func:`~borelstab.stability.stable_set_enumerate`,
+the table ``stable-set`` prints, and walks no subsets of its own.  Each
+row lists the verdicts ``P_A in Ass(I^k)`` once, and one helper,
 :func:`_compare`, holds that list against each route's, counts the
 comparisons and fails hard with a minimal reproducer at the first
 disagreement.  Within one call the oracle runs once per distinct localized
-ideal: a dict local to the call maps the raw projected generators of ``I``
-to the verdicts on their powers.  It is seeded with the powers of ``I``
-itself, under the key of the empty subset, so every subset is checked the
-same way.  No memo outlives the call.
+ideal, through a dict that does not outlive the call (see
+:func:`cross_validate`).
 
 Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)
@@ -45,7 +45,6 @@ Every other function reads ``n`` off the ground set of ``u``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import mul
 
@@ -62,7 +61,7 @@ from .monomials import (
     _value,
 )
 from .quotients import quotient_profile
-from .stability import DEFAULT_ENUMERATION_BOUND, lambda_of_prime
+from .stability import DEFAULT_ENUMERATION_BOUND, stable_set_enumerate
 
 CELL_CEILING = 10_000_000
 
@@ -420,60 +419,55 @@ def cross_validate(
     Checks, for each power k up to kmax: the maximal ideal is associated
     exactly when q = n - 1; each prime ``P_A`` is associated exactly when
     the maximal ideal of the saturation-localized ideal is, and exactly
-    when its index ``lambda_A`` is at most k, which is sharp.  Each subset
-    builds one list ``in_ass[k-1] = P_A in Ass(I^k)`` and compares it with
-    each route's list through :func:`_compare`, the one path that counts
-    the comparisons and raises :class:`CrossValidationError` with a
-    minimal reproducer at the first mismatch.
+    when its index ``lambda_A`` is at most k, which is sharp.  The subsets,
+    primes and indices are the rows of :func:`stable_set_enumerate`, the
+    table that ``stable-set`` prints, so its bound refusal comes first and
+    its combinatorial referee runs on every subset.  Each row builds one
+    list ``in_ass[k-1] = P_A in Ass(I^k)`` and compares it with each
+    route's list through :func:`_compare`, the one path that counts the
+    comparisons and raises :class:`CrossValidationError` with a minimal
+    reproducer at the first mismatch.
 
     Many subsets localize to the same ideal, so the oracle verdicts on the
     localized powers are kept in a dict local to the call.  Its key is the
-    frozenset of the generators of ``I`` projected off ``A``, before any
+    frozenset of the generators of ``I`` projected onto ``P_A``, before any
     reduction: equal sets give equal minimal vectors, and those are all
-    :func:`m_in_ass` reads.  The closed-form ``u_A`` never enters the key.
-    The dict is seeded with the verdicts on the powers of ``I`` under the
-    key of the empty ``A``, so every subset takes the same path.
-
-    Like :func:`stable_set_enumerate`, it walks all 2^n subsets, so a
-    ground set of ``u`` larger than ``enumeration_bound`` is refused first.
+    :func:`m_in_ass` reads.  The closed-form ``u_A`` of a row never enters
+    the key.  The dict is seeded with the verdicts on the powers of ``I``
+    under the key of the empty ``A``, so every subset takes the same path.
     """
-    if len(u.ground) > enumeration_bound:
-        raise ValueError(f"n={len(u.ground)} exceeds the enumeration bound {enumeration_bound}")
+    rows = stable_set_enumerate(u, enumeration_bound=enumeration_bound)
     profile, powers = _profile_and_powers(u, n, kmax, ceiling)
-    n = len(u.ground)
     base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
     ass_sets = [set(profile.primes_at(k)) for k in ks]
-    formula = [quotient_profile(u, k).q == n - 1 for k in ks]
+    formula = [quotient_profile(u, k).q == len(labels) - 1 for k in ks]
     oracle = [labels in ass for ass in ass_sets]
     depth = _compare(formula, oracle, "depth", u, names=("formula", "oracle"))
 
     verdicts = {frozenset(base.vectors): [m_in_ass(J, ceiling) for J in powers]}
     localization = membership = sharpness = 0
-    for size in range(n + 1):
-        for combo in itertools.combinations(labels, size):
-            A = VariableSubset(u.ground, combo)
-            prime = A.complement
-            in_ass = [prime in ass for ass in ass_sets]
-            if prime:
-                key = frozenset(_projected(base, A))
-                local = verdicts.get(key)
-                if local is None:
-                    localized = localize_by_saturation(base, A)
-                    local = verdicts[key] = (
-                        [False] * kmax
-                        if localized.is_unit
-                        else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
-                    )
-                names = ("P_A in Ass(I^k)", "m in Ass(I(P_A)^k)")
-                localization += _compare(in_ass, local, "localization", u, combo, names=names)
-            lam = lambda_of_prime(u, A)
-            expected = [lam <= k for k in ks]
-            names = ("expected", "observed")
-            membership += _compare(expected, in_ass, "membership", u, combo, lam, names)
-            if lam <= kmax:
-                # membership passed and lam <= kmax, so True is in in_ass
-                sharp = in_ass.index(True) + 1 == lam
-                sharpness += _compare([sharp], [True], "sharpness", u, combo, lam)
+    for row in rows:
+        A, prime, lam = row.subset, row.prime, row.stability_index
+        in_ass = [prime in ass for ass in ass_sets]
+        if prime:
+            key = frozenset(_projected(base, prime))
+            local = verdicts.get(key)
+            if local is None:
+                localized = localize_by_saturation(base, VariableSubset(u.ground, A))
+                local = verdicts[key] = (
+                    [False] * kmax
+                    if localized.is_unit
+                    else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
+                )
+            names = ("P_A in Ass(I^k)", "m in Ass(I(P_A)^k)")
+            localization += _compare(in_ass, local, "localization", u, A, names=names)
+        expected = [lam <= k for k in ks]
+        names = ("expected", "observed")
+        membership += _compare(expected, in_ass, "membership", u, A, lam, names)
+        if lam <= kmax:
+            # membership passed and lam <= kmax, so True is in in_ass
+            sharp = in_ass.index(True) + 1 == lam
+            sharpness += _compare([sharp], [True], "sharpness", u, A, lam)
     return CrossValidationReport(u, kmax, depth, localization, membership, sharpness)
 
 

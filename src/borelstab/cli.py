@@ -35,7 +35,8 @@ sets, so the default of each ceiling stays with the function that
 applies it.
 
 Exit status: 0 success, 1 domain error, 2 usage error, 3 validation
-mismatch, 4 internal error (a failed self-check: a bug, never bad input).
+mismatch, 4 internal error (a failed self-check: a bug, never bad input),
+141 when the reader closes stdout early (128 + SIGPIPE, no traceback).
 All computation is deterministic; there is no randomness anywhere, so
 equal invocations produce byte-identical output.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import jsonio
@@ -313,7 +315,14 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the exit flush; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ least ``k`` (and does nothing when ``k`` exceeds the current maximum).
 every function on generators applies to it unchanged; when every support
 index is struck the localization is the whole ring and ``u_A`` is None.
 The closed form and the saturation route are kept separate so that each
-can check the other.
+can check the other; the latter projects the generators onto the labels
+of ``P_A`` (:func:`_projected`), as the oracle's memo key does.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class VariableSubset:
         for i in mem:
             if i not in self.ambient:
                 raise ValueError(f"{i} not in ambient ground set {self.ambient.indices}")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     @property
     def complement(self) -> tuple[int, ...]:
@@ -118,13 +115,15 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
         return J
     if A.is_everything:
         raise ValueError("localizing at every variable leaves no ambient ring")
-    return MonomialIdeal(J.ground.without(A.members), _Unreduced(_projected(J, A)))
+    kept = A.complement
+    return MonomialIdeal(GroundSet(kept), _Unreduced(_projected(J, kept)))
 
 
-def _projected(J: MonomialIdeal, A: VariableSubset) -> list[tuple[int, ...]]:
-    """The generator vectors of ``J`` projected onto the positions off ``A``,
-    unreduced: the one projection of the saturation route."""
-    kept = [J.ground.position(i) for i in A.complement]
+def _projected(J: MonomialIdeal, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The generator vectors of ``J`` projected onto the positions of
+    ``labels``, the complement of ``A`` (the prime ``P_A``), unreduced: the
+    one projection of the saturation route."""
+    kept = [J.ground.position(i) for i in labels]
     return [tuple(map(g.__getitem__, kept)) for g in J.vectors]
 
 

@@ -147,10 +147,6 @@ class GroundSet:
             raise ValueError(f"label {label} not in ground set {self.indices}")
         return pos
 
-    def without(self, labels) -> GroundSet:
-        gone = set(labels)
-        return GroundSet(tuple(i for i in self.indices if i not in gone))
-
     def __str__(self) -> str:
         if self.is_contiguous:
             return f"n={len(self.indices)}"

@@ -26,9 +26,10 @@ with index 1.  When every support index is struck, the localization is
 the whole ring and :func:`~borelstab.localization.localize_closed_form`
 returns None for ``u_A``: its index is inf, so it is never a member.
 
-:func:`lambda_value_witness` has no caller in the package.  It stays as the
-construction of a generator for each index value, which the tests check
-against the oracle.
+:func:`lambda_value_witness` and :func:`lambda_of_prime` have no caller in
+the package.  The first builds a generator for each index value, which the
+tests check against the oracle; the second is traced by the benchmark under
+``bench/``, and the tests use it as the index ``lambda_A`` of one subset.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     """
     if _localizes_to_unit(u, A):
         return False
-    if A.size == len(u.ground) - 1:
+    if len(A.members) == len(u.ground) - 1:
         return True
 
     labels = u.ground.indices
@@ -186,7 +187,7 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
         if label != labels[pos]:
             break
         run = pos + 1
-    if run > A.size or A.members[:run] != labels[:run]:
+    if run > len(A.members) or A.members[:run] != labels[:run]:
         return False
 
     max_outside = A.complement[-1]

@@ -14,6 +14,7 @@ from borelstab import (
     GroundSet,
     Monomial,
     ResourceLimitError,
+    StableSetEntry,
     VariableSubset,
     ass_profile,
     associated_primes,
@@ -31,7 +32,7 @@ from borelstab import (
     power_generators,
     stable_set_enumerate,
 )
-from borelstab import assprimes
+from borelstab import assprimes, stability
 from borelstab.monomials import _powers
 from conftest import (
     all_squarefree,
@@ -42,6 +43,20 @@ from conftest import (
     referee_corpus,
     sf,
 )
+
+
+def forge_indices(monkeypatch, forged):
+    """Make :func:`cross_validate` read ``forged(lambda_A)`` as the index of
+    each row of the stable-set table it checks."""
+    real = assprimes.stable_set_enumerate
+
+    def rows(u, **options):
+        return [
+            StableSetEntry(e.subset, e.generator, e.prime, e.member, forged(e.stability_index))
+            for e in real(u, **options)
+        ]
+
+    monkeypatch.setattr(assprimes, "stable_set_enumerate", rows)
 
 
 class TestIrreducibleDecomposition:
@@ -316,7 +331,7 @@ class TestCrossValidate:
 
     def test_membership_failure_names_first_subset(self, monkeypatch):
         # every index forged infinite: A = {5} is associated to I^3 anyway
-        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: math.inf)
+        forge_indices(monkeypatch, lambda lam: math.inf)
         with pytest.raises(CrossValidationError) as failure:
             cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
         assert str(failure.value) == (
@@ -327,8 +342,7 @@ class TestCrossValidate:
     def test_sharpness_failure_names_first_subset(self, monkeypatch):
         # every finite index forged half a power early: lambda_A = 2.5
         # passes membership at each k, but P_A is not associated to I^2
-        real = assprimes.lambda_of_prime
-        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: real(u, A) - 0.5)
+        forge_indices(monkeypatch, lambda lam: lam - 0.5)
         with pytest.raises(CrossValidationError) as failure:
             cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
         assert str(failure.value) == (
@@ -342,14 +356,23 @@ class TestCrossValidate:
     def test_sharpness_failure_below_two(self, monkeypatch, kmax, A, lam):
         # indices forged half a power early on x2x3 over 1..3: an index
         # below 1 at kmax = 1 still yields a reproducer, not an IndexError
-        real = assprimes.lambda_of_prime
-        monkeypatch.setattr(assprimes, "lambda_of_prime", lambda u, A: real(u, A) - 0.5)
+        forge_indices(monkeypatch, lambda lam: lam - 0.5)
         with pytest.raises(CrossValidationError) as failure:
             cross_validate(sf(GroundSet.contiguous(3), 2, 3), kmax=kmax)
         assert str(failure.value) == (
             f"oracle mismatch: {{'check': 'sharpness', 'u': 'x_2x_3', 'A': {A}, "
             f"'lambda': {lam}}}"
         )
+
+    def test_membership_referee_runs_on_every_subset(self, monkeypatch):
+        # cross_validate reads the rows of stable_set_enumerate, so the
+        # combinatorial referee there checks every verdict it validates
+        real = stability.stable_membership_combinatorial
+        monkeypatch.setattr(
+            stability, "stable_membership_combinatorial", lambda u, A: not real(u, A)
+        )
+        with pytest.raises(AssertionError, match="membership routes disagree"):
+            cross_validate(sf(GroundSet.contiguous(3), 2, 3), kmax=2)
 
     def test_n_mismatch_reported_before_enumeration_bound(self):
         # the bound reads the ground set of u, so a wrong n is named as such

@@ -457,3 +457,23 @@ def test_resource_limit_exits_1_in_a_fresh_process(monkeypatch):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "box cells exceed the ceiling" in proc.stderr
+
+
+def test_closed_pipe_exits_141_without_traceback(monkeypatch):
+    # the reader takes one line of a 2 MB table and closes the pipe
+    import borelstab
+
+    src = str(Path(borelstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    argv = ["colon-profile", "--u", "2,3", "--n", "3", "--k", "300"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "borelstab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first.startswith(b"i=1 ")
+    assert (proc.returncode, err) == (141, b"")

@@ -47,9 +47,6 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             GroundSet(bad)
 
-    def test_without(self):
-        assert GroundSet.contiguous(5).without((1, 4)).indices == (2, 3, 5)
-
 
 class TestMonomialBasics:
     def test_unit(self, g3):

@@ -22,6 +22,20 @@ def test_no_bare_asserts():
     assert not found, found
 
 
+def test_one_walk_over_the_subsets():
+    # stable_set_enumerate is the one walk over the 2^n subsets; every other
+    # scan reads its rows
+    walkers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("combinations"):
+                    walkers.add(f"{path.stem}.{function.name}")
+    assert walkers == {"stability.stable_set_enumerate"}, walkers
+
+
 def test_names_the_bench_reads_exist():
     # the benchmark wraps the functions in its TRACED table and reads two
     # vector methods; read the table without importing the benchmark, so a
