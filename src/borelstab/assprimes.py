@@ -49,7 +49,7 @@ import math
 from operator import mul
 
 from .borel import expand_squarefree
-from .localization import VariableSubset, _projected, localize_by_saturation
+from .localization import _projected
 from .monomials import (
     CrossValidationError,
     GroundSet,
@@ -58,6 +58,7 @@ from .monomials import (
     ResourceLimitError,
     SquarefreeMonomial,
     _powers,
+    _Unreduced,
     _value,
 )
 from .quotients import quotient_profile
@@ -433,8 +434,10 @@ def cross_validate(
     frozenset of the generators of ``I`` projected onto ``P_A``, before any
     reduction: equal sets give equal minimal vectors, and those are all
     :func:`m_in_ass` reads.  The closed-form ``u_A`` of a row never enters
-    the key.  The dict is seeded with the verdicts on the powers of ``I``
-    under the key of the empty ``A``, so every subset takes the same path.
+    the key.  A miss builds the localized ideal from the same projection,
+    as :func:`~borelstab.localization.localize_by_saturation` does.  The
+    dict is seeded with the verdicts on the powers of ``I`` under the key
+    of the empty ``A``, so every subset takes the same path.
     """
     rows = stable_set_enumerate(u, enumeration_bound=enumeration_bound)
     profile, powers = _profile_and_powers(u, n, kmax, ceiling)
@@ -450,10 +453,11 @@ def cross_validate(
         A, prime, lam = row.subset, row.prime, row.stability_index
         in_ass = [prime in ass for ass in ass_sets]
         if prime:
-            key = frozenset(_projected(base, prime))
+            projected = _projected(base, prime)
+            key = frozenset(projected)
             local = verdicts.get(key)
             if local is None:
-                localized = localize_by_saturation(base, VariableSubset(u.ground, A))
+                localized = MonomialIdeal(GroundSet(prime), _Unreduced(projected))
                 local = verdicts[key] = (
                     [False] * kmax
                     if localized.is_unit

@@ -115,8 +115,8 @@ def _cmd_localize(args, u):
 
     A = _usage(localization.parse_subset, args.A or "", u.ground)
     local = localization.localize_closed_form(u, A)
-    expansion = localization.localized_expansion(u, A)
-    if not A.is_everything and A.members:
+    expansion = None if local is None else expand_squarefree(local)
+    if A.members and A.complement:
         sat = localization.localize_by_saturation(expand_squarefree(u), A)
         if not (sat.is_unit if expansion is None else sat == expansion):
             raise AssertionError("closed form and saturation disagree")

@@ -2,19 +2,22 @@
 
 Localizing at the prime ``P_A = (x_i : i not in A)`` makes the variables
 in ``A`` invertible, so the localized ideal lives on the complement of
-``A`` (with its original labels) and equals the saturation of the ideal
-by the product of the ``A``-variables.
+``A`` (with its original labels), which :class:`VariableSubset` computes
+once, and equals the saturation by the product of the ``A``-variables.
 
 For a squarefree principal Borel ideal the localization is again one, and
 its generator ``u_A`` is obtained in closed form: each ``k`` in ``A``
 removes from the current generator the smallest support index that is at
-least ``k`` (and does nothing when ``k`` exceeds the current maximum).
-``u_A`` is a :class:`SquarefreeMonomial` over the complement of ``A``, so
-every function on generators applies to it unchanged; when every support
-index is struck the localization is the whole ring and ``u_A`` is None.
-The closed form and the saturation route are kept separate so that each
-can check the other; the latter projects the generators onto the labels
-of ``P_A`` (:func:`_projected`), as the oracle's memo key does.
+least ``k`` (and does nothing when ``k`` exceeds the current maximum), so
+each firing step lowers the degree by one; the tests check that and the
+order independence of the steps.  ``u_A`` is a :class:`SquarefreeMonomial`
+over the complement of ``A``, so every function on generators applies to
+it unchanged; when every support index is struck the localization is the
+whole ring and ``u_A`` is None.  The closed form and the saturation route
+are kept separate so that each can check the other; the latter projects
+the generators onto the labels of ``P_A`` (:func:`_projected`), as the
+oracle's memo key does.  :func:`localized_expansion` has no caller in the
+package; it stays because the benchmark under ``bench/`` calls it.
 """
 
 from __future__ import annotations
@@ -27,30 +30,27 @@ from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced,
 
 @_value
 class VariableSubset:
-    """A subset ``A`` of the ambient ground set (possibly empty).
+    """A subset ``A`` of the ambient ground set (possibly empty), its
+    ``members`` sorted without repeats.
 
-    The complement of ``A`` is both the ground set of the localized ideal
-    and the generator-label set of the prime ``P_A``.
+    ``complement``, the ground set of the localized ideal and the label set
+    of the prime ``P_A``, is computed once here; it is not a field, so
+    ``==``, ``hash`` and ``repr`` read ``ambient`` and ``members`` only.
     """
 
     ambient: GroundSet
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", mem)
-        for i in mem:
-            if i not in self.ambient:
-                raise ValueError(f"{i} not in ambient ground set {self.ambient.indices}")
-
-    @property
-    def complement(self) -> tuple[int, ...]:
         gone = set(self.members)
-        return tuple(i for i in self.ambient.indices if i not in gone)
-
-    @property
-    def is_everything(self) -> bool:
-        return len(self.members) == len(self.ambient)
+        members = tuple(sorted(gone))
+        labels = self.ambient.indices
+        complement = tuple(i for i in labels if i not in gone)
+        if len(complement) + len(members) != len(labels):
+            bad = next(i for i in members if i not in self.ambient)
+            raise ValueError(f"{bad} not in ambient ground set {labels}")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "complement", complement)
 
     def __str__(self) -> str:
         return "A=" + ",".join(str(i) for i in self.members)
@@ -70,33 +70,24 @@ def parse_subset(text: str, ambient: GroundSet) -> VariableSubset:
     return VariableSubset(ambient, members)
 
 
-def _strike_once(indices: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """One single-variable step: drop the smallest support index >= k."""
-    if not indices or k > indices[-1]:
-        return indices
-    j = bisect_left(indices, k)
-    return indices[:j] + indices[j + 1 :]
-
-
 def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> SquarefreeMonomial | None:
     """The Borel generator ``u_A`` of the localization at ``P_A``, over the
     complement of ``A``; None when every support index is struck and the
     localization is the whole ring (always so when ``A`` is everything).
 
-    Steps are applied in increasing order of ``A``; the result does not
-    depend on that order (asserted in the tests, not assumed).  Each
-    firing step lowers the degree by exactly one.
+    Steps are applied in increasing order of ``A``, each a deletion from a
+    list; the tests check that the order does not matter and that a firing
+    step lowers the degree by one.  Once a step does not fire no later one
+    does: later members of ``A`` are larger and the maximum only falls.
     """
     if A.ambient != u.ground:
         raise ValueError("subset over a different ground set")
-    current = u.indices
+    current = list(u.indices)
     for k in A.members:
-        fires = bool(current) and k <= current[-1]
-        before = len(current)
-        current = _strike_once(current, k)
-        if len(current) != (before - 1 if fires else before):
-            raise AssertionError(f"striking {k} from {u} changed the degree wrongly")
-    return SquarefreeMonomial(GroundSet(A.complement), current) if current else None
+        if not current or k > current[-1]:
+            break
+        del current[bisect_left(current, k)]
+    return SquarefreeMonomial(GroundSet(A.complement), tuple(current)) if current else None
 
 
 def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal:
@@ -113,9 +104,9 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
         raise ValueError("subset over a different ground set")
     if not A.members:
         return J
-    if A.is_everything:
-        raise ValueError("localizing at every variable leaves no ambient ring")
     kept = A.complement
+    if not kept:
+        raise ValueError("localizing at every variable leaves no ambient ring")
     return MonomialIdeal(GroundSet(kept), _Unreduced(_projected(J, kept)))
 
 

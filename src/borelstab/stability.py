@@ -163,8 +163,8 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     """Membership of ``P_A`` in the stable set, without localizing ``u``.
 
     A localization to the unit ideal (:func:`_localizes_to_unit`) is never
-    a member, and any other localization to a one-variable ring
-    (``|A| = n - 1``) always is.
+    a member, and any other localization to a one-variable ring (one
+    label in the complement of ``A``) always is.
     Condition (i), min above the floor: with ``run`` the length of the
     generator's leading run at positions ``1, 2, ...`` of the ground set
     (``d`` when all of ``u`` is one), the first ``run`` elements of ``A``
@@ -178,7 +178,7 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     """
     if _localizes_to_unit(u, A):
         return False
-    if len(A.members) == len(u.ground) - 1:
+    if len(A.complement) == 1:
         return True
 
     labels = u.ground.indices
@@ -194,7 +194,7 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     g = bisect_right(u.indices, max_outside)
     if g == 0 or u.indices[g - 1] != max_outside:
         return False
-    head = sum(1 for k in A.members if k < max_outside)
+    head = bisect_left(A.members, max_outside)
     covers = cover_positions(A, u)
     for j in range(head):
         ell = covers[head - j - 1]

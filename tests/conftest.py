@@ -135,7 +135,7 @@ def assert_localizations_compose(u, A, B) -> None:
     else:
         step = VariableSubset(first.ground, rest)
         assert localize_closed_form(first, step) == via_b, (u, A, B)
-    if not B.is_everything:
+    if B.complement:
         J = expand_squarefree(u)
         staged = localize_by_saturation(J, A)
         staged = localize_by_saturation(staged, VariableSubset(staged.ground, rest))

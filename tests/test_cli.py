@@ -64,6 +64,12 @@ class TestVerbs:
         assert code == 0
         assert "u_A = x_2x_3" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_localize_subset_sorted_without_repeats(self, fmt):
+        argv = ["localize", "--u", "1,3", "--n", "3", "--format", fmt, "--A"]
+        got = invoke([*argv, "3,1,3"])
+        assert got == invoke([*argv, "1,3"]) and got[0] == 0
+
     def test_colon_profile(self):
         code, out, _ = invoke(["colon-profile", "--u", "2,3", "--n", "3", "--k", "2"])
         assert code == 0
@@ -305,6 +311,8 @@ FIRST_FAULT = [
     ("ass --u 2,9 --n 3 --kmax 7", 1, "error: kmax=7 above the configured ceiling 6"),
     ("ass --u 2,3 --n 0 --kmax 7", 1, "error: kmax=7 above the configured ceiling 6"),
     ("localize --u 2,9 --n 3 --A 1,x", 2, "usage error: x_9 not in ground set (1, 2, 3)"),
+    # two labels outside the ground set: the first after sorting
+    ("localize --u 1,3 --n 3 --A 9,1,7", 2, "usage error: 7 not in ambient ground set (1, 2, 3)"),
     ("expand --u 2^2,9 --n 3 --k 0", 2, "usage error: x_9 not in ground set (1, 2, 3)"),
     (
         "power --u 2^2,3 --n 3 --k 0",

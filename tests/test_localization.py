@@ -36,8 +36,9 @@ class TestVariableSubset:
     def test_complement(self, g5):
         A = VariableSubset(g5, (1, 5))
         assert A.complement == (2, 3, 4)
-        assert not A.is_everything
-        assert VariableSubset(g5, (1, 2, 3, 4, 5)).is_everything
+        assert VariableSubset(g5, (1, 2, 3, 4, 5)).complement == ()
+        assert VariableSubset(g5, ()).complement == (1, 2, 3, 4, 5)
+        assert VariableSubset(GroundSet((2, 3, 5, 7)), (7, 3)).complement == (2, 5)
 
     def test_parse(self, g5):
         assert parse_subset("A=1,5", g5).members == (1, 5)
@@ -74,6 +75,8 @@ class TestClosedForm:
                 assert localize_closed_form(u, everything) is None
 
     def test_order_independent(self):
+        # one-member localizations over the shrinking ground, in every
+        # order of A, reach the u_A of localizing at all of A
         rng = random.Random(3)
         for n in (4, 5):
             g = GroundSet.contiguous(n)
@@ -83,12 +86,13 @@ class TestClosedForm:
                     for members in itertools.combinations(range(1, n + 1), size):
                         expected = localize_closed_form(u, VariableSubset(g, members))
                         for perm in itertools.permutations(members):
-                            current = u.indices
-                            from borelstab.localization import _strike_once
-
+                            current = u
                             for k in perm:
-                                current = _strike_once(current, k)
-                            assert current == (() if expected is None else expected.indices)
+                                if current is None:
+                                    break
+                                step = VariableSubset(current.ground, (k,))
+                                current = localize_closed_form(current, step)
+                            assert current == expected, (u, perm)
 
 
 class TestSaturationRoute:
@@ -128,7 +132,7 @@ def test_closed_form_equals_saturation_small():
             for members in all_subsets(n):
                 A = VariableSubset(g, members)
                 loc = localize_closed_form(u, A)
-                if A.is_everything:
+                if not A.complement:
                     assert loc is None
                     assert saturate(J, Monomial(g, (1,) * n)).is_unit
                     continue
@@ -171,20 +175,23 @@ def test_projection_equals_saturation_rehoused():
     assert cases == 10428
 
 
-def test_degree_drops_by_one_per_firing_step(g5, worked_generator):
-    u = worked_generator
-    # firing steps: k at most the current maximum; otherwise a no-op
-    current = u.indices
-    for k in (2, 3, 4, 5):
-        from borelstab.localization import _strike_once
-
-        before = len(current)
-        nxt = _strike_once(current, k)
-        if k <= (current[-1] if current else 0):
-            assert len(nxt) == before - 1
-        else:
-            assert nxt == current
-        current = nxt
+def test_degree_drops_by_one_per_firing_step():
+    # a one-member localization at k, over any ground a localization
+    # leaves, strikes one support index when k is at most the maximum and
+    # none otherwise
+    for n in range(1, 7):
+        g = GroundSet.contiguous(n)
+        for u in all_squarefree(n):
+            for members in all_subsets(n):
+                local = localize_closed_form(u, VariableSubset(g, members))
+                if local is None:
+                    continue
+                for k in local.ground:
+                    step = localize_closed_form(local, VariableSubset(local.ground, (k,)))
+                    degree = 0 if step is None else step.degree
+                    fires = k <= local.max_index
+                    assert degree == local.degree - fires, (u, members, k)
+                    assert step is None or set(step.indices) <= set(local.indices)
 
 
 def top_index(local):

@@ -22,18 +22,33 @@ def test_no_bare_asserts():
     assert not found, found
 
 
-def test_one_walk_over_the_subsets():
-    # stable_set_enumerate is the one walk over the 2^n subsets; every other
-    # scan reads its rows
-    walkers = set()
+def callers(name):
+    """The package functions, as ``module.function``, that call ``name``."""
+    found = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for function in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(function):
-                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("combinations"):
-                    walkers.add(f"{path.stem}.{function.name}")
-    assert walkers == {"stability.stable_set_enumerate"}, walkers
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+                    found.add(f"{path.stem}.{function.name}")
+    return found
+
+
+def test_one_walk_over_the_subsets():
+    # stable_set_enumerate is the one walk over the 2^n subsets; every other
+    # scan reads its rows
+    assert callers("combinations") == {"stability.stable_set_enumerate"}
+
+
+def test_subsets_built_in_two_places():
+    # a VariableSubset computes its complement once; the package builds
+    # one from text and one per row of the walk, and every other function
+    # reads the complement of a subset it is given
+    assert callers("VariableSubset") == {
+        "localization.parse_subset",
+        "stability.stable_set_enumerate",
+    }
 
 
 def test_names_the_bench_reads_exist():

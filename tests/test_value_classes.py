@@ -99,9 +99,14 @@ def test_post_init_normalizes_and_validates():
     with pytest.raises(ValueError, match="positive integers"):
         GroundSet((0, 1))
     assert GroundSet([1, 2]).indices == (1, 2)
-    assert VariableSubset(G, (3, 1, 3)).members == (1, 3)
+    A = VariableSubset(G, (3, 1, 3))
+    assert (A.members, A.complement) == ((1, 3), (2,))
+    # the complement is not a field: the repr, like == and hash, omits it
+    assert repr(A) == f"VariableSubset(ambient={G!r}, members=(1, 3))"
     with pytest.raises(ValueError, match="not in ambient"):
         VariableSubset(G, (4,))
+    with pytest.raises(ValueError, match="^7 not in ambient ground set"):
+        VariableSubset(G, (9, 1, 7))
 
 
 def test_cached_property_still_caches():
