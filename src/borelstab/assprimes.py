@@ -6,16 +6,33 @@ closed-form shortcuts it is meant to check, and certifies its own output
 twice over.  One sweep over the exponent box prod(b_i + 1), with ``b`` the
 componentwise maximum of the generators, finds the socle cells of
 ``J + (x_i^{b_i+1})``.  The sweep is a bitset: the box is one integer with
-one bit per cell, closed upward along each axis by whole-integer shifts,
-so a few box-sized integers of ``cells / 8`` bytes (1.25 MB at the default
-ceiling) are alive at once.  Each socle cell ``w`` gives an irredundant
-irreducible component (Miller-Sturmfels, *Combinatorial Commutative
-Algebra*, ch. 5); its support is an associated prime and ``w`` is a colon
-witness for it.  Every reported prime ``P`` is certified by ``|P| + 1``
-membership tests on a column table of the generator vectors, indexed by
-generator and never by box cell, so the certificate stays independent of
-the sweep (proof in :func:`associated_primes`).  A failed certificate is
-a bug, not a data condition, and raises immediately.
+one bit per cell, closed upward along each axis by whole-integer shifts;
+each integer takes ``cells / 8`` bytes (1.25 MB at the default ceiling).
+The sweep itself keeps a few of them, plus one top-face mask per axis.
+:func:`associated_primes` then splits the socle into one part per prime,
+so it holds one box-sized integer per socle prime: 247 parts and a peak
+near 2 GB on the worst n = 8 box of the full-depth sweep (ROADMAP item 2).
+Each socle cell ``w`` gives an irredundant irreducible component
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5); its
+support is an associated prime and ``w`` is a colon witness for it.
+Every reported prime ``P`` is certified by ``|P| + 1`` membership tests
+on a column table of the generator vectors, indexed by generator and
+never by box cell, so the certificate stays independent of the sweep
+(proof in :func:`associated_primes`).  A failed certificate is a bug, not
+a data condition, and raises immediately.
+
+The sweep, the certificate and the m-test are private kernels on lists
+of exponent vectors.  The public entry points :func:`associated_primes`,
+:func:`m_in_ass` and :func:`irreducible_decomposition` check their
+:class:`~borelstab.monomials.MonomialIdeal` once (neither zero nor the
+unit) and hand its ``vectors`` to a kernel.  The scans build no ideal
+after the expansion of ``u``: the powers and the localized powers are the
+vector lists of :func:`~borelstab.monomials._powers`.  Every list swept is
+minimal, since the box is read off the generators and a redundant one can
+only widen it; the localized base is therefore reduced by
+:func:`~borelstab.monomials._minimal_vectors` before its powers are taken.
+The m-test returns False without a sweep when some bound ``b_i`` is 0:
+every cell is then on the top face of axis ``i``.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership).
@@ -46,7 +63,8 @@ Every other function reads ``n`` off the ground set of ``u``.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import accumulate
+from operator import and_, mul
 
 from .borel import expand_squarefree
 from .localization import _projected
@@ -57,8 +75,8 @@ from .monomials import (
     MonomialIdeal,
     ResourceLimitError,
     SquarefreeMonomial,
+    _minimal_vectors,
     _powers,
-    _Unreduced,
     _value,
 )
 from .quotients import quotient_profile
@@ -88,9 +106,9 @@ class IrreducibleComponent:
         return any(e and x >= e for x, e in zip(w.vector, self.vector))
 
 
-def _bounds(J: MonomialIdeal) -> list[int]:
+def _bounds(vectors) -> list[int]:
     """The componentwise maximum ``b`` of the generator exponent vectors."""
-    return [max(column) for column in zip(*J.vectors)]
+    return [max(column) for column in zip(*vectors)]
 
 
 def _cells(bounds, ceiling: int) -> int:
@@ -104,18 +122,21 @@ def _cells(bounds, ceiling: int) -> int:
     return cells
 
 
-def _axis_mask(low: int, period: int, cells: int) -> int:
-    """The cells whose offset within their ``period``-block is at least
-    ``low``: one block, doubled until it covers the box, trimmed to it."""
-    pattern, width = (1 << period) - (1 << low), period
+def _axis_masks(s: int, b: int, cells: int) -> tuple[int, int]:
+    """``(up, top)`` for the axis of stride ``s`` and bound ``b``: the cells
+    with ``w_i >= 1`` and those with ``w_i = b``.  One block of ``s * (b + 1)``
+    cells of each, doubled together until they cover the box, trimmed to it."""
+    width = s * (b + 1)
+    up, top = (1 << width) - (1 << s), (1 << width) - (1 << (s * b))
     while width < cells:
-        pattern |= pattern << width
+        up |= up << width
+        top |= top << width
         width *= 2
-    return pattern >> (width - cells)
+    return up >> (width - cells), top >> (width - cells)
 
 
-def _socle(J: MonomialIdeal, ceiling: int):
-    """The socle of ``J + (x_i^{b_i+1})`` as a bitset: ``(axes, socle, interior)``.
+def _socle(vectors, bounds, cells: int):
+    """The socle of ``J + (x_i^{b_i+1})`` as a bitset: ``(axes, socle, tops)``.
 
     The box prod(b_i + 1) is one integer, one bit per cell in lex order;
     ``axes`` pairs the stride ``s_i`` of each axis with ``b_i``.  The
@@ -123,30 +144,30 @@ def _socle(J: MonomialIdeal, ceiling: int):
     ``inside |= (inside << s_i) & up_i``, with ``up_i`` the cells where
     ``w_i >= 1``.  A socle cell lies outside J while every step up that
     stays in the box lands in J: ``~inside & AND_i((inside >> s_i) | top_i)``,
-    with ``top_i`` the cells where ``w_i = b_i``; ``interior`` is the box
-    off every ``top_i``.  Each axis mask lives only in its own loop.  The
-    box is refused before allocation when it has more than ``ceiling`` cells.
+    with ``top_i`` the cells where ``w_i = b_i``.  Each ``up_i`` lives only
+    in its own step; the ``tops`` are returned for the callers to split by.
     """
-    bounds = _bounds(J)
-    cells = _cells(bounds, ceiling)
-    strides = [math.prod(b + 1 for b in bounds[i + 1 :]) for i in range(len(bounds))]
+    strides = [1]
+    for b in reversed(bounds[1:]):
+        strides.append(strides[-1] * (b + 1))
+    strides.reverse()
     axes = list(zip(strides, bounds))
     bits = bytearray((cells + 7) // 8)
-    for g in J.vectors:
+    for g in vectors:
         cell = sum(map(mul, g, strides))
         bits[cell >> 3] |= 1 << (cell & 7)
     inside = int.from_bytes(bits, "little")
     del bits
+    tops = []
     for s, b in axes:
-        up = _axis_mask(s, s * (b + 1), cells)
+        up, top = _axis_masks(s, b, cells)
         for _ in range(b):
             inside |= (inside << s) & up
-    socle = interior = (1 << cells) - 1
-    for s, b in axes:
-        top = _axis_mask(s * b, s * (b + 1), cells)
+        tops.append(top)
+    socle = ~inside
+    for (s, _), top in zip(axes, tops):
         socle &= (inside >> s) | top
-        interior &= ~top
-    return axes, socle & ~inside, interior
+    return axes, socle, tops
 
 
 def _decode(cell: int, axes) -> tuple[int, ...]:
@@ -154,33 +175,34 @@ def _decode(cell: int, axes) -> tuple[int, ...]:
     return tuple(cell // s % (b + 1) for s, b in axes)
 
 
-def _socle_cells(J: MonomialIdeal, ceiling: int):
+def _socle_cells(vectors, ceiling: int):
     """``(bounds, cells)``: the socle cells as exponent vectors, in lex
     order, which is the order of their bits from the lowest up."""
-    axes, socle, _ = _socle(J, ceiling)
+    bounds = _bounds(vectors)
+    axes, socle, _ = _socle(vectors, bounds, _cells(bounds, ceiling))
     cells = []
     for pos, byte in enumerate(socle.to_bytes((socle.bit_length() + 7) // 8, "little")):
         while byte:
             low = byte & -byte
             cells.append(_decode(8 * pos + low.bit_length() - 1, axes))
             byte ^= low
-    return [b for _, b in axes], cells
+    return bounds, cells
 
 
-def _prime_cells(J: MonomialIdeal, ceiling: int):
+def _prime_cells(vectors, ceiling: int):
     """``(bounds, {p: w})``: for each position set ``p`` of a socle prime,
     the first socle cell ``w`` in lex order with ``w_i < b_i`` exactly on ``p``.
 
-    The socle bitset is split along one top face per axis: each part is
-    cut into its cells on the face and those off it, and empty parts are
-    dropped, so at most one part per prime stays alive.  The lowest set bit
-    of a part is its first cell, and only those cells are decoded.
+    The socle bitset is split along the top face of each axis that the
+    sweep returned: each part is cut into its cells on the face and those
+    off it, and empty parts are dropped, so at most one part per prime
+    stays alive.  The lowest set bit of a part is its first cell, and only
+    those cells are decoded.
     """
-    axes, socle, _ = _socle(J, ceiling)
-    cells = math.prod(b + 1 for _, b in axes)
+    bounds = _bounds(vectors)
+    axes, socle, tops = _socle(vectors, bounds, _cells(bounds, ceiling))
     parts = {(): socle}
-    for i, (s, b) in enumerate(axes):
-        top = _axis_mask(s * b, s * (b + 1), cells)
+    for i, top in enumerate(tops):
         split = {}
         for p, part in parts.items():
             on = part & top
@@ -189,7 +211,7 @@ def _prime_cells(J: MonomialIdeal, ceiling: int):
             if on != part:
                 split[p + (i,)] = part ^ on
         parts = split
-    return [b for _, b in axes], {
+    return bounds, {
         p: _decode((part & -part).bit_length() - 1, axes) for p, part in parts.items()
     }
 
@@ -204,7 +226,7 @@ def irreducible_decomposition(
     """
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no irreducible decomposition")
-    bounds, cells = _socle_cells(J, ceiling)
+    bounds, cells = _socle_cells(J.vectors, ceiling)
     out = [
         IrreducibleComponent(J.ground, tuple(e + 1 if e < b else 0 for e, b in zip(w, bounds)))
         for w in cells
@@ -231,22 +253,46 @@ def _columns(vectors, bounds):
     return columns
 
 
-def _holds(columns, v) -> bool:
-    """Whether some generator lies below ``v``: ``AND_j columns[j][v_j] != 0``."""
-    common = -1
-    for column, e in zip(columns, v):
-        common &= column[e]
-        if not common:
-            return False
-    return True
-
-
-def _colon_is_prime(columns, bounds, w, p) -> bool:
+def _colon_is_prime(columns, w, p) -> bool:
     """Whether ``J : w = (x_i : i in p)``, ``p`` as positions, by tests (a)
-    and (b) of :func:`associated_primes` on the column table of ``J``."""
-    raised = (w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p)
-    top = tuple(e if i in p else b for i, (e, b) in enumerate(zip(w, bounds)))
-    return all(_holds(columns, v) for v in raised) and not _holds(columns, top)
+    and (b) of :func:`associated_primes` on the column table of ``J``.
+
+    The entries ``columns[j][w_j]`` are read once.  Test (a) for axis ``i``
+    swaps entry ``i`` for ``columns[i][w_i + 1]``, so it is the AND of
+    that entry, ``prefix[i]`` (the AND of the first ``i`` entries) and
+    ``suffix[n - 1 - i]`` (of the last ``n - 1 - i``).  Off ``p`` the cell
+    of (b) is at ``b_j``, whose entry holds every generator, so (b) is the
+    AND of the entries on ``p`` alone.
+    """
+    entries = [column[e] for column, e in zip(columns, w)]
+    prefix = [*accumulate(entries, and_, initial=-1)]
+    suffix = [*accumulate(reversed(entries), and_, initial=-1)]
+    last = len(entries) - 1
+    for i in p:
+        if not prefix[i] & columns[i][w[i] + 1] & suffix[last - i]:
+            return False
+    common = -1
+    for i in p:
+        common &= entries[i]
+    return not common
+
+
+def _witnesses(ground: GroundSet, vectors, ceiling: int):
+    """The kernel of :func:`associated_primes` on the generator ``vectors``
+    of a proper nonzero ideal over ``ground``: each certified prime as a
+    label tuple, with its witness, by size and then lexicographically."""
+    bounds, cells = _prime_cells(vectors, ceiling)
+    columns = _columns(vectors, bounds)
+    labels, witnesses = ground.indices, {}
+    for p in sorted(cells, key=lambda p: (len(p), p)):
+        prime, w = tuple(map(labels.__getitem__, p)), Monomial(ground, cells[p])
+        if not _colon_is_prime(columns, w.vector, p):
+            raise AssertionError(
+                f"J : {w} is not {prime} for J generated by {list(vectors)} over {ground}: "
+                "the socle sweep is buggy"
+            )
+        witnesses[prime] = w
+    return witnesses
 
 
 def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
@@ -261,23 +307,30 @@ def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
     not.  Proof: (a) is ``P <= J : w``; a monomial ``m`` off ``P`` has
     ``m * w`` in ``J`` iff some generator ``g <= m + w``, and as ``g <= b``
     such an ``m`` exists iff ``v`` is in ``J``, so (b) is ``J : w <= P``.
-    Each membership test is ``n`` ANDs on the column table of the generator
-    vectors (:func:`_columns`): a cell ``v`` is in ``J`` iff
-    ``AND_j columns[j][v_j] != 0``.  The table is indexed by generator and
-    never by box cell, so it shares nothing with the sweep that found ``w``.
+    A cell ``v`` is in ``J`` iff ``AND_j columns[j][v_j] != 0`` on the
+    column table of the generator vectors (:func:`_columns`), and both
+    tests together cost ``O(n + |P|)`` ANDs (:func:`_colon_is_prime`).
+    The table is indexed by generator and never by box cell, so it shares
+    nothing with the sweep that found ``w``.
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
-    ground = J.ground
-    bounds, cells = _prime_cells(J, ceiling)
-    columns = _columns(J.vectors, bounds)
-    witnesses = {}
-    for p in sorted(cells, key=lambda p: (len(p), p)):
-        prime, w = tuple(ground.indices[i] for i in p), Monomial(ground, cells[p])
-        if not _colon_is_prime(columns, bounds, w.vector, p):
-            raise AssertionError(f"J : {w} is not {prime} in {J}: the socle sweep is buggy")
-        witnesses[prime] = w
-    return witnesses
+    return _witnesses(J.ground, J.vectors, ceiling)
+
+
+def _m_in_ass(vectors, ceiling: int) -> bool:
+    """The kernel of :func:`m_in_ass` on the generator ``vectors`` of a
+    proper nonzero ideal.  A bound ``b_i = 0`` puts every cell on the top
+    face of axis ``i``, so no cell is off every top face and the answer is
+    False without a sweep; the box is still held to the ceiling first."""
+    bounds = _bounds(vectors)
+    cells = _cells(bounds, ceiling)
+    if not all(bounds):
+        return False
+    _, socle, tops = _socle(vectors, bounds, cells)
+    for top in tops:
+        socle &= ~top
+    return socle != 0
 
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
@@ -286,8 +339,7 @@ def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:
     the full set is an associated prime."""
     if J.is_zero or J.is_unit:
         raise ValueError("depth-zero test needs a proper nonzero ideal")
-    _, socle, interior = _socle(J, ceiling)
-    return socle & interior != 0
+    return _m_in_ass(J.vectors, ceiling)
 
 
 @_value
@@ -321,20 +373,21 @@ def ass_profile(
 
 
 def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling: int):
-    """:func:`ass_profile` and the chain ``[I, ..., I^kmax]`` it scanned."""
+    """:func:`ass_profile` and the chain ``[I, ..., I^kmax]`` it scanned, as
+    lists of generator vectors (:func:`~borelstab.monomials._powers`)."""
     if n is None:
         n = len(u.ground)
     elif n != len(u.ground):
         raise ValueError(f"n={n} does not match ground set of size {len(u.ground)}")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    base = expand_squarefree(u)
+    base = expand_squarefree(u).vectors
     # I is generated in one degree, so the bounds of I^k are k times those of I
     bounds = _bounds(base)
     for k in range(1, kmax + 1):
         _cells([k * b for b in bounds], ceiling)
     powers = _powers(base, kmax)
-    witnessed = [associated_primes(J, ceiling) for J in powers]
+    witnessed = [_witnesses(u.ground, vectors, ceiling) for vectors in powers]
     stable_from = None
     for k in range(kmax - 1, 0, -1):
         if witnessed[k - 1].keys() == witnessed[k].keys():
@@ -433,35 +486,39 @@ def cross_validate(
     localized powers are kept in a dict local to the call.  Its key is the
     frozenset of the generators of ``I`` projected onto ``P_A``, before any
     reduction: equal sets give equal minimal vectors, and those are all
-    :func:`m_in_ass` reads.  The closed-form ``u_A`` of a row never enters
-    the key.  A miss builds the localized ideal from the same projection,
-    as :func:`~borelstab.localization.localize_by_saturation` does.  The
-    dict is seeded with the verdicts on the powers of ``I`` under the key
-    of the empty ``A``, so every subset takes the same path.
+    the m-test reads.  The closed-form ``u_A`` of a row never enters the
+    key.  A miss reduces the same projection to its minimal vectors, as
+    :func:`~borelstab.localization.localize_by_saturation` does, and runs
+    the m-test on their powers; the localization is the whole ring exactly
+    when the zero vector is in the key.  The dict is seeded with the
+    verdicts on the powers of ``I`` under the key of the empty ``A``, so
+    every subset takes the same path.
     """
     rows = stable_set_enumerate(u, enumeration_bound=enumeration_bound)
     profile, powers = _profile_and_powers(u, n, kmax, ceiling)
     base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
+    position = {label: i for i, label in enumerate(labels)}
     ass_sets = [set(profile.primes_at(k)) for k in ks]
     formula = [quotient_profile(u, k).q == len(labels) - 1 for k in ks]
     oracle = [labels in ass for ass in ass_sets]
     depth = _compare(formula, oracle, "depth", u, names=("formula", "oracle"))
 
-    verdicts = {frozenset(base.vectors): [m_in_ass(J, ceiling) for J in powers]}
+    verdicts = {frozenset(base): [_m_in_ass(vectors, ceiling) for vectors in powers]}
     localization = membership = sharpness = 0
     for row in rows:
         A, prime, lam = row.subset, row.prime, row.stability_index
         in_ass = [prime in ass for ass in ass_sets]
         if prime:
-            projected = _projected(base, prime)
-            key = frozenset(projected)
+            key = frozenset(_projected(base, [position[i] for i in prime]))
             local = verdicts.get(key)
             if local is None:
-                localized = MonomialIdeal(GroundSet(prime), _Unreduced(projected))
                 local = verdicts[key] = (
                     [False] * kmax
-                    if localized.is_unit
-                    else [m_in_ass(J, ceiling) for J in _powers(localized, kmax)]
+                    if (0,) * len(prime) in key
+                    else [
+                        _m_in_ass(vectors, ceiling)
+                        for vectors in _powers(_minimal_vectors(key), kmax)
+                    ]
                 )
             names = ("P_A in Ass(I^k)", "m in Ass(I(P_A)^k)")
             localization += _compare(in_ass, local, "localization", u, A, names=names)

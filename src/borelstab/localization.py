@@ -107,15 +107,15 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     kept = A.complement
     if not kept:
         raise ValueError("localizing at every variable leaves no ambient ring")
-    return MonomialIdeal(GroundSet(kept), _Unreduced(_projected(J, kept)))
+    positions = [J.ground.position(i) for i in kept]
+    return MonomialIdeal(GroundSet(kept), _Unreduced(_projected(J.vectors, positions)))
 
 
-def _projected(J: MonomialIdeal, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The generator vectors of ``J`` projected onto the positions of
-    ``labels``, the complement of ``A`` (the prime ``P_A``), unreduced: the
+def _projected(vectors, positions) -> list[tuple[int, ...]]:
+    """The generator ``vectors`` projected onto ``positions``, those of the
+    labels of the complement of ``A`` (the prime ``P_A``), unreduced: the
     one projection of the saturation route."""
-    kept = [J.ground.position(i) for i in labels]
-    return [tuple(map(g.__getitem__, kept)) for g in J.vectors]
+    return [tuple(map(g.__getitem__, positions)) for g in vectors]
 
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:

@@ -279,8 +279,8 @@ class MonomialIdeal:
     no unchecked path, for kernel vectors either.  A caller's own list
     must already be minimal, and a repeated generator, or one another
     divides, is rejected.  The kernels (:func:`minimalize`, :func:`colon`,
-    :func:`saturate`, :func:`_powers`) hand their raw vectors to the same
-    pass as an :class:`_Unreduced` list, whose redundant vectors it drops.
+    :func:`saturate`) hand their raw vectors to the same pass as an
+    :class:`_Unreduced` list, whose redundant vectors it drops.
 
     Plain tuple order on the vectors is lex order with x_1 > x_2 > ...:
     the first position where two vectors differ decides, the larger
@@ -422,22 +422,29 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     return MonomialIdeal(J.ground, _Unreduced(cut))
 
 
-def _powers(J: MonomialIdeal, kmax: int) -> list[MonomialIdeal]:
-    """``[J, J^2, ..., J^kmax]``: ``J^k`` is the minimal sums ``a + b`` of a
-    generator ``a`` of ``J^(k-1)`` and a generator ``b`` of ``J``, so each
-    power costs one product step from the one before; ``J`` itself is kept."""
+def _powers(vectors, kmax: int) -> list:
+    """``[J, J^2, ..., J^kmax]`` as lists of exponent vectors, from the
+    minimal generator vectors of ``J``, which are kept as the first entry.
+
+    ``J^k`` is the minimal sums ``a + b`` of a vector ``a`` of ``J^(k-1)``
+    and a vector ``b`` of ``J``: one product step from the power before and
+    one :func:`_minimal_vectors` pass, so every list is minimal and in
+    decreasing lex order.  No :class:`MonomialIdeal` is built: the oracle
+    reads the lists, and :func:`ideal_power` wraps the last one."""
     if kmax < 1:
         raise ValueError("power must be at least 1")
-    chain = [J]
+    chain = [vectors]
     for _ in range(kmax - 1):
-        sums = {tuple(map(add, a, b)) for a in chain[-1].vectors for b in J.vectors}
-        chain.append(MonomialIdeal(J.ground, _Unreduced(sums)))
+        chain.append(_minimal_vectors({tuple(map(add, a, b)) for a in chain[-1] for b in vectors}))
     return chain
 
 
 def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generators of J^k, the last power :func:`_powers` builds."""
-    return _powers(J, k)[-1]
+    """Minimal generators of J^k: the last list :func:`_powers` builds from
+    ``J.vectors``, in a :class:`MonomialIdeal` over the ground set of ``J``
+    (``J`` itself when ``k = 1``)."""
+    last = _powers(J.vectors, k)[-1]
+    return J if k == 1 else MonomialIdeal(J.ground, last)
 
 
 # --- text format ----------------------------------------------------------

@@ -174,7 +174,8 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     elements below that variable; the rest of ``A`` is the run capping the
     ground set) from the truncated generator must preserve that top index,
     i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
-    the support indices up to the top and ``l`` is :func:`cover_positions`.
+    the support indices up to the top and ``l`` is :func:`cover_positions`,
+    computed for the head alone.
     """
     if _localizes_to_unit(u, A):
         return False
@@ -194,11 +195,11 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     g = bisect_right(u.indices, max_outside)
     if g == 0 or u.indices[g - 1] != max_outside:
         return False
+    # l(head-j) for j = 0, 1, ...: each head element lies below the top
+    # support index, so its cover position is never None
     head = bisect_left(A.members, max_outside)
-    covers = cover_positions(A, u)
-    for j in range(head):
-        ell = covers[head - j - 1]
-        if ell is None or ell >= g - j:
+    for j, k in enumerate(reversed(A.members[:head])):
+        if bisect_right(u.indices, k - 1) + 1 >= g - j:
             return False
     return True
 

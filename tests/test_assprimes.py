@@ -14,6 +14,7 @@ from borelstab import (
     GroundSet,
     Monomial,
     ResourceLimitError,
+    SquarefreeMonomial,
     StableSetEntry,
     VariableSubset,
     ass_profile,
@@ -33,7 +34,6 @@ from borelstab import (
     stable_set_enumerate,
 )
 from borelstab import assprimes, stability
-from borelstab.monomials import _powers
 from conftest import (
     all_squarefree,
     all_subsets,
@@ -168,12 +168,28 @@ class TestMInAss:
         assert not m_in_ass(ideal(mono(g2, x1=1, x2=1)))
 
     def test_agrees_with_full_prime_list(self):
-        for n in (1, 2, 3, 4):
-            everything = tuple(range(1, n + 1))
-            for u in all_squarefree(n):
-                for k in (1, 2):
-                    J = ideal_power(expand_squarefree(u), k)
-                    assert m_in_ass(J) == (everything in associated_primes(J))
+        # the m-test returns False unswept when a variable is unused (a
+        # bound b_i = 0); held against the full sweep on the powers of each
+        # expansion, over 1..n and over vars 2,3,5,7,11 (labels past max(u)
+        # are unused), and of each proper localization of it
+        unused = 0
+        grounds = [GroundSet.contiguous(n) for n in (1, 2, 3, 4)]
+        grounds.append(GroundSet((2, 3, 5, 7, 11)))
+        for g in grounds:
+            subsets = [
+                VariableSubset(g, A) for r in range(1, len(g)) for A in itertools.combinations(g, r)
+            ]
+            for r in range(1, len(g) + 1):
+                for support in itertools.combinations(g, r):
+                    expansion = expand_squarefree(SquarefreeMonomial(g, support))
+                    local = [localize_by_saturation(expansion, A) for A in subsets]
+                    for base in [expansion, *(ideal_A for ideal_A in local if not ideal_A.is_unit)]:
+                        for k in (1, 2):
+                            J = ideal_power(base, k)
+                            everything = J.ground.indices
+                            assert m_in_ass(J) == (everything in associated_primes(J)), J
+                            unused += not all(map(any, zip(*J.vectors)))
+        assert unused >= 500, unused
 
     def test_rejects_improper(self, g3):
         with pytest.raises(ValueError):
@@ -298,15 +314,16 @@ class TestCrossValidate:
         assert report.sharpness_checks == 12  # one per stable-set member
 
     def test_localization_failure_names_first_subset(self, monkeypatch):
-        # the oracle forged to negate its verdict on every localized ideal:
-        # the first proper subset, A = {1}, localizes x2x3x4 to the proper
-        # ideal of x3x4 over 2..5, so it fails there at k = 1
-        real = assprimes.m_in_ass
+        # the m-test kernel forged to negate its verdict on every localized
+        # ideal (fewer than 5 coordinates): the first proper subset, A = {1},
+        # localizes x2x3x4 to the proper ideal of x3x4 over 2..5, so it
+        # fails there at k = 1
+        real = assprimes._m_in_ass
 
-        def negated(J, *args):
-            return real(J, *args) != (len(J.ground) < 5)
+        def negated(vectors, *args):
+            return real(vectors, *args) != (len(vectors[0]) < 5)
 
-        monkeypatch.setattr(assprimes, "m_in_ass", negated)
+        monkeypatch.setattr(assprimes, "_m_in_ass", negated)
         with pytest.raises(CrossValidationError) as failure:
             cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), n=5, kmax=2)
         message = str(failure.value)
@@ -382,17 +399,17 @@ class TestCrossValidate:
                 scan(u, 99)
 
     def test_every_subset_checked_oracle_once_per_ideal(self, monkeypatch):
-        # every subset runs its comparisons, while the oracle runs kmax
-        # times per distinct non-unit projection of I off A, plus kmax
+        # every subset runs its comparisons, while the m-test kernel runs
+        # kmax times per distinct non-unit projection of I off A, plus kmax
         # for A = {} (the powers of I itself)
         calls = []
-        real = assprimes.m_in_ass
+        real = assprimes._m_in_ass
 
         def counting(*args):
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(assprimes, "m_in_ass", counting)
+        monkeypatch.setattr(assprimes, "_m_in_ass", counting)
         kmax = 3
         for n in range(1, 7):
             for u in all_squarefree(n):
@@ -521,7 +538,7 @@ def test_certificate_equals_colon_referee():
             got = set(colon(J, Monomial(J.ground, w)).vectors)
             for p in position_sets:
                 expected = got == {unit[i] for i in p}
-                assert assprimes._colon_is_prime(columns, bounds, w, p) == expected, (J, w, p)
+                assert assprimes._colon_is_prime(columns, w, p) == expected, (J, w, p)
                 raised = [w[:i] + (w[i] + 1,) + w[i + 1 :] for i in p]
                 top = tuple(e if i in p else c for i, (e, c) in enumerate(zip(w, bounds)))
                 holds_a = all(Monomial(J.ground, v) in J for v in raised)
@@ -566,7 +583,7 @@ def test_column_certificate_equals_generator_scan():
                 if with_moves and 0 <= e + step <= b
             ]
             for v in (w, *moves):
-                verdict = assprimes._colon_is_prime(columns, bounds, v, p)
+                verdict = assprimes._colon_is_prime(columns, v, p)
                 assert verdict == _scan_certificate(J, bounds, v, p), (J, v, p)
                 verdicts[verdict] += 1
     assert min(verdicts.values()) >= 1000, verdicts
@@ -601,11 +618,14 @@ def test_witness_is_first_socle_cell_of_its_prime():
     # socle cell: the witness of each prime is the first cell of that
     # prime in lex order.  The last case has 27,295 socle cells on 374 primes
     cases = [
-        J for n in range(1, 6) for u in all_squarefree(n) for J in _powers(expand_squarefree(u), 3)
+        ideal_power(expand_squarefree(u), k)
+        for n in range(1, 6)
+        for u in all_squarefree(n)
+        for k in (1, 2, 3)
     ]
     cases.append(power_generators(lambda_value_witness(6, 3), 3))
     for J in cases:
-        bounds, cells = assprimes._socle_cells(J, assprimes.CELL_CEILING)
+        bounds, cells = assprimes._socle_cells(J.vectors, assprimes.CELL_CEILING)
         first = {}
         for w in cells:
             prime = tuple(i for i, e, b in zip(J.ground, w, bounds) if e < b)

@@ -423,8 +423,10 @@ def test_internal_fault_exits_4_under_optimize(monkeypatch):
 def test_validation_mismatch_exits_3(monkeypatch):
     from borelstab import assprimes
 
-    real = assprimes.m_in_ass
-    monkeypatch.setattr(assprimes, "m_in_ass", lambda J, ceiling: not real(J, ceiling))
+    real = assprimes._m_in_ass
+    monkeypatch.setattr(
+        assprimes, "_m_in_ass", lambda vectors, ceiling: not real(vectors, ceiling)
+    )
     code, out, err = invoke(["validate", "--u", "2,3", "--n", "3", "--kmax", "2"])
     assert (code, out) == (3, "")
     assert err.startswith("validation mismatch: oracle mismatch: {'check': 'localization'")

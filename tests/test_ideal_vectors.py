@@ -159,9 +159,9 @@ def test_one_minimality_pass_per_ideal(minimality_passes):
         assert len(minimality_passes) == 1, name
     for kmax in (1, 2, 4):
         minimality_passes.clear()
-        chain = _powers(J, kmax)
-        assert len(chain) == kmax and chain[0] is J
-        assert len(minimality_passes) == kmax - 1  # J itself is reused
+        chain = _powers(J.vectors, kmax)
+        assert len(chain) == kmax and chain[0] is J.vectors
+        assert len(minimality_passes) == kmax - 1  # the vectors of J are reused
 
 
 def _one_degree_vectors(rng, n, degree, count):

@@ -51,6 +51,24 @@ def test_subsets_built_in_two_places():
     }
 
 
+def test_oracle_builds_no_ideal():
+    # the oracle's kernels read lists of exponent vectors: after the
+    # expansion of u, no function in assprimes builds an ideal or a ground set
+    builders = {"MonomialIdeal", "GroundSet", "_Unreduced"}
+    found = {(name, f) for name in builders for f in callers(name) if f.startswith("assprimes.")}
+    assert not found, found
+
+
+def test_one_product_route():
+    # _powers is the one route from J to its powers: the two oracle scans
+    # read its vector lists, and ideal_power wraps the last one
+    assert callers("_powers") == {
+        "assprimes._profile_and_powers",
+        "assprimes.cross_validate",
+        "monomials.ideal_power",
+    }
+
+
 def test_names_the_bench_reads_exist():
     # the benchmark wraps the functions in its TRACED table and reads two
     # vector methods; read the table without importing the benchmark, so a
