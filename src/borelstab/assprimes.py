@@ -8,10 +8,10 @@ componentwise maximum of the generators, finds the socle cells of
 ``J + (x_i^{b_i+1})``.  The sweep is a bitset: the box is one integer with
 one bit per cell, closed upward along each axis by whole-integer shifts;
 each integer takes ``cells / 8`` bytes (1.25 MB at the default ceiling).
-The sweep itself keeps a few of them, plus one top-face mask per axis.
-:func:`associated_primes` then splits the socle into one part per prime,
-so it holds one box-sized integer per socle prime: 247 parts and a peak
-near 2 GB on the worst n = 8 box of the full-depth sweep (ROADMAP item 2).
+The sweep keeps ``inside``, the socle and one top-face mask per axis.
+One depth-first split of the socle along those faces (:func:`_split`)
+yields each socle prime with its part of the socle, and keeps at most
+``n + 1`` parts alive; :func:`associated_primes` and the m-test both read it.
 Each socle cell ``w`` gives an irredundant irreducible component
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5); its
 support is an associated prime and ``w`` is a colon witness for it.
@@ -31,8 +31,6 @@ vector lists of :func:`~borelstab.monomials._powers`.  Every list swept is
 minimal, since the box is read off the generators and a redundant one can
 only widen it; the localized base is therefore reduced by
 :func:`~borelstab.monomials._minimal_vectors` before its powers are taken.
-The m-test returns False without a sweep when some bound ``b_i`` is 0:
-every cell is then on the top face of axis ``i``.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership).
@@ -189,31 +187,27 @@ def _socle_cells(vectors, ceiling: int):
     return bounds, cells
 
 
-def _prime_cells(vectors, ceiling: int):
-    """``(bounds, {p: w})``: for each position set ``p`` of a socle prime,
-    the first socle cell ``w`` in lex order with ``w_i < b_i`` exactly on ``p``.
+def _split(socle: int, tops):
+    """Yield ``(p, part)`` for each socle prime: ``p`` the positions ``i``
+    where its cells have ``w_i < b_i``, ``part`` the bitset of those cells.
 
-    The socle bitset is split along the top face of each axis that the
-    sweep returned: each part is cut into its cells on the face and those
-    off it, and empty parts are dropped, so at most one part per prime
-    stays alive.  The lowest set bit of a part is its first cell, and only
-    those cells are decoded.
+    The socle is split depth first along the top face of each axis that
+    the sweep returned: a part is cut into its cells on the face and those
+    off it, empty parts are dropped, and the part off the face is split
+    first.  So at most ``n + 1`` parts are alive at once, and the first
+    prime yielded is every position exactly when the maximal ideal is one.
     """
-    bounds = _bounds(vectors)
-    axes, socle, tops = _socle(vectors, bounds, _cells(bounds, ceiling))
-    parts = {(): socle}
-    for i, top in enumerate(tops):
-        split = {}
-        for p, part in parts.items():
-            on = part & top
-            if on:
-                split[p] = on
-            if on != part:
-                split[p + (i,)] = part ^ on
-        parts = split
-    return bounds, {
-        p: _decode((part & -part).bit_length() - 1, axes) for p, part in parts.items()
-    }
+    stack = [(0, (), socle)]
+    while stack:
+        i, p, part = stack.pop()
+        if i == len(tops):
+            yield p, part
+            continue
+        on = part & tops[i]
+        if on:
+            stack.append((i + 1, p, on))
+        if on != part:
+            stack.append((i + 1, p + (i,), part ^ on))
 
 
 def irreducible_decomposition(
@@ -281,7 +275,11 @@ def _witnesses(ground: GroundSet, vectors, ceiling: int):
     """The kernel of :func:`associated_primes` on the generator ``vectors``
     of a proper nonzero ideal over ``ground``: each certified prime as a
     label tuple, with its witness, by size and then lexicographically."""
-    bounds, cells = _prime_cells(vectors, ceiling)
+    bounds = _bounds(vectors)
+    axes, socle, tops = _socle(vectors, bounds, _cells(bounds, ceiling))
+    cells = {
+        p: _decode((part & -part).bit_length() - 1, axes) for p, part in _split(socle, tops)
+    }
     columns = _columns(vectors, bounds)
     labels, witnesses = ground.indices, {}
     for p in sorted(cells, key=lambda p: (len(p), p)):
@@ -300,8 +298,8 @@ def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
     label tuples to colon witnesses, by size and then lexicographically.
 
     The primes ``{i : w_i < b_i}`` of the socle cells ``w``.  The witness
-    of a prime ``P`` is its first cell in lex order, and it is the only
-    cell of ``P`` decoded from the bitset (:func:`_prime_cells`).  For ``w <= b``,
+    of a prime ``P`` is its first cell in lex order, the lowest bit of its
+    part (:func:`_split`) and the only cell of ``P`` decoded.  For ``w <= b``,
     ``J : w = P`` iff (a) ``w * x_i`` is in ``J`` for each ``x_i`` in ``P``
     and (b) the cell ``v`` equal to ``w`` on ``P`` and to ``b`` off it is
     not.  Proof: (a) is ``P <= J : w``; a monomial ``m`` off ``P`` has
@@ -320,17 +318,17 @@ def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
 
 def _m_in_ass(vectors, ceiling: int) -> bool:
     """The kernel of :func:`m_in_ass` on the generator ``vectors`` of a
-    proper nonzero ideal.  A bound ``b_i = 0`` puts every cell on the top
-    face of axis ``i``, so no cell is off every top face and the answer is
-    False without a sweep; the box is still held to the ceiling first."""
+    proper nonzero ideal: whether the first prime of the split is every
+    position.  A bound ``b_i = 0`` puts every cell on the top face of axis
+    ``i``, so the answer is False without a sweep; the box is still held to
+    the ceiling first."""
     bounds = _bounds(vectors)
     cells = _cells(bounds, ceiling)
     if not all(bounds):
         return False
     _, socle, tops = _socle(vectors, bounds, cells)
-    for top in tops:
-        socle &= ~top
-    return socle != 0
+    p, _ = next(_split(socle, tops))
+    return len(p) == len(bounds)
 
 
 def m_in_ass(J: MonomialIdeal, ceiling: int = CELL_CEILING) -> bool:

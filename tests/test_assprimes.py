@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -171,8 +172,12 @@ class TestMInAss:
         # the m-test returns False unswept when a variable is unused (a
         # bound b_i = 0); held against the full sweep on the powers of each
         # expansion, over 1..n and over vars 2,3,5,7,11 (labels past max(u)
-        # are unused), and of each proper localization of it
-        unused = 0
+        # are unused), and of each proper localization of it.  Both read
+        # one split of the socle, so the referee is the decoded socle: some
+        # cell is below b on every axis.  The powers i - 1 and i of each
+        # lambda_value_witness(d, i) with d <= 5 have many primes, with and
+        # without the maximal ideal among them
+        ideals = []
         grounds = [GroundSet.contiguous(n) for n in (1, 2, 3, 4)]
         grounds.append(GroundSet((2, 3, 5, 7, 11)))
         for g in grounds:
@@ -184,12 +189,20 @@ class TestMInAss:
                     expansion = expand_squarefree(SquarefreeMonomial(g, support))
                     local = [localize_by_saturation(expansion, A) for A in subsets]
                     for base in [expansion, *(ideal_A for ideal_A in local if not ideal_A.is_unit)]:
-                        for k in (1, 2):
-                            J = ideal_power(base, k)
-                            everything = J.ground.indices
-                            assert m_in_ass(J) == (everything in associated_primes(J)), J
-                            unused += not all(map(any, zip(*J.vectors)))
+                        ideals += [ideal_power(base, k) for k in (1, 2)]
+        for d in range(2, 6):
+            for i in range(2, d + 1):
+                u = lambda_value_witness(d, i)
+                ideals += [power_generators(u, k) for k in (i - 1, i)]
+        unused, verdicts = 0, {True: 0, False: 0}
+        for J in ideals:
+            bounds, cells = assprimes._socle_cells(J.vectors, assprimes.CELL_CEILING)
+            below = any(all(e < b for e, b in zip(w, bounds)) for w in cells)
+            assert m_in_ass(J) == below == (J.ground.indices in associated_primes(J)), J
+            unused += not all(map(any, zip(*J.vectors)))
+            verdicts[below] += 1
         assert unused >= 500, unused
+        assert min(verdicts.values()) >= 100, verdicts
 
     def test_rejects_improper(self, g3):
         with pytest.raises(ValueError):
@@ -291,8 +304,8 @@ class TestCrossValidate:
         # x86 VM n = 6 takes about 0.5 s (1 s at half speed, budget 15 s)
         # and n = 7 about 3.5 s (7 s at half speed, budget 45 s).  n = 8 is
         # opt-in (``-m oracle_n8``): its largest box has about 4.3 x 10^7
-        # cells, so it needs ceiling=10**8; about 36 s (72 s at half
-        # speed, budget 600 s)
+        # cells, so it needs ceiling=10**8; about 27 s and a 140 MiB peak
+        # (55 s at half speed, budget 600 s)
         budget = {7: 45, 8: 600}.get(n, 15)
         ceiling = 10**8 if n == 8 else assprimes.CELL_CEILING
         start = time.perf_counter()
@@ -591,26 +604,26 @@ def test_column_certificate_equals_generator_scan():
 
 @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
 def test_forged_witness_fails_the_certificate(step, monkeypatch):
-    # one prime's cell moved one step inside the box, on an axis of the
-    # prime: raised it makes the cell of (b) a multiple of w * x_j, which
-    # is in J, so (b) catches it; lowered it makes w itself the (a) test
-    # of axis j, and w is outside J, so (a) catches it
+    # each prime's decoded cell moved one step inside the box, on an axis
+    # of the prime: raised it makes the cell of (b) a multiple of w * x_j,
+    # which is in J, so (b) catches it; lowered it makes w itself the (a)
+    # test of axis j, and w is outside J, so (a) catches it
     J = ideal_power(expand_squarefree(sf(GroundSet.contiguous(4), 2, 4)), 2)
-    real = assprimes._prime_cells
+    real, moved = assprimes._decode, []
 
-    def forged(*args):
-        bounds, cells = real(*args)
-        for p, w in cells.items():
-            for j in p:
-                if 0 <= w[j] + step <= bounds[j]:
-                    moved = w[:j] + (w[j] + step,) + w[j + 1 :]
-                    return bounds, {**cells, p: moved}
-        raise AssertionError("no cell can be moved")
+    def forged(cell, axes):
+        w = real(cell, axes)
+        for j, (e, (_, b)) in enumerate(zip(w, axes)):
+            if e < b and 0 <= e + step <= b:
+                moved.append(w)
+                return w[:j] + (e + step,) + w[j + 1 :]
+        return w
 
     associated_primes(J)
-    monkeypatch.setattr(assprimes, "_prime_cells", forged)
+    monkeypatch.setattr(assprimes, "_decode", forged)
     with pytest.raises(AssertionError, match="the socle sweep is buggy"):
         associated_primes(J)
+    assert moved
 
 
 def test_witness_is_first_socle_cell_of_its_prime():
@@ -632,6 +645,25 @@ def test_witness_is_first_socle_cell_of_its_prime():
             first.setdefault(prime, w)
         witnessed = associated_primes(J)
         assert {p: w.vector for p, w in witnessed.items()} == first, J
+
+
+def test_split_keeps_few_box_sized_parts():
+    # x2...x7 over n = 7 at k = 6: 823,543 cells and 120 primes.  The sweep
+    # keeps inside, the socle and one top mask per axis, and the depth-first
+    # split at most n + 1 parts; the bound of 4(n + 1) box-sized integers
+    # leaves room for temporaries; a split that keeps one part per prime
+    # reads 187 here
+    n, k = 7, 6
+    J = power_generators(SquarefreeMonomial(GroundSet.contiguous(n), tuple(range(2, 8))), k)
+    box = (k + 1) ** n / 8
+    for run in (associated_primes, m_in_ass):
+        tracemalloc.start()
+        try:
+            run(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (n + 1) * box, (run.__name__, peak / box)
 
 
 def test_generator_ceiling(g3):

@@ -69,6 +69,12 @@ def test_one_product_route():
     }
 
 
+def test_one_socle_split():
+    # the witnesses and the m-test read the socle primes off one
+    # depth-first split, which keeps at most n + 1 parts alive
+    assert callers("_split") == {"assprimes._witnesses", "assprimes._m_in_ass"}
+
+
 def test_names_the_bench_reads_exist():
     # the benchmark wraps the functions in its TRACED table and reads two
     # vector methods; read the table without importing the benchmark, so a
