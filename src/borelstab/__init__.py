@@ -16,9 +16,8 @@ import importlib
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "assprimes": """AssProfile CrossValidationReport IrreducibleComponent PersistenceReport
-        ass_profile associated_primes cross_validate irreducible_decomposition m_in_ass
-        persistence_scan""",
+    "assprimes": """AssProfile CrossValidationReport PersistenceReport ass_profile
+        associated_primes cross_validate irreducible_decomposition m_in_ass persistence_scan""",
     "borel": """NotPrincipalError borel_closure expand_squarefree extract_borel_generator
         is_power_generator is_strongly_stable power_generators""",
     "localization": """VariableSubset localize_by_saturation localize_closed_form

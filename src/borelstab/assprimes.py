@@ -11,7 +11,7 @@ each integer takes ``cells / 8`` bytes (1.25 MB at the default ceiling).
 The sweep keeps ``inside``, the socle and one top-face mask per axis.
 One depth-first split of the socle along those faces (:func:`_split`)
 yields each socle prime with its part of the socle, and keeps at most
-``n + 1`` parts alive; :func:`associated_primes` and the m-test both read it.
+``n + 1`` parts alive; the witnesses and the m-test both read it.
 Each socle cell ``w`` gives an irredundant irreducible component
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5); its
 support is an associated prime and ``w`` is a colon witness for it.
@@ -21,16 +21,19 @@ never by box cell, so the certificate stays independent of the sweep
 (proof in :func:`associated_primes`).  A failed certificate is a bug, not
 a data condition, and raises immediately.
 
-The sweep, the certificate and the m-test are private kernels on lists
-of exponent vectors.  The public entry points :func:`associated_primes`,
-:func:`m_in_ass` and :func:`irreducible_decomposition` check their
-:class:`~borelstab.monomials.MonomialIdeal` once (neither zero nor the
-unit) and hand its ``vectors`` to a kernel.  The scans build no ideal
-after the expansion of ``u``: the powers and the localized powers are the
-vector lists of :func:`~borelstab.monomials._powers`.  Every list swept is
-minimal, since the box is read off the generators and a redundant one can
-only widen it; the localized base is therefore reduced by
-:func:`~borelstab.monomials._minimal_vectors` before its powers are taken.
+The sweep, the certificate and the m-test are private kernels that read
+and return exponent vectors.  The public entry points
+:func:`associated_primes`, :func:`m_in_ass` and
+:func:`irreducible_decomposition` check their ideal once (neither zero
+nor the unit) and hand its ``vectors`` to a kernel; only
+:func:`associated_primes` wraps its witnesses as ``Monomial``.  The scans
+build no ideal after the expansion of ``u``, and no monomial: the powers
+and the localized powers are the vector lists of
+:func:`~borelstab.monomials._powers`, and a profile holds witness
+vectors.  Every list swept is minimal, since the box is read off the
+generators and a redundant one can only widen it; the localized base is
+therefore reduced by :func:`~borelstab.monomials._minimal_vectors` before
+its powers are taken.
 
 :func:`cross_validate` is the bridge that pits those brute-force answers
 against the closed-form routes (depth, localization, stable membership).
@@ -47,10 +50,10 @@ Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)
 instead of running unbounded.
 
-:func:`irreducible_decomposition` and :class:`IrreducibleComponent` have
-no caller in the package.  They stay because the benchmark under
-``bench/`` traces the decomposition for its box-cell and component
-counts, and the tests check the socle sweep through it.
+:func:`irreducible_decomposition` has no caller in the package.  It stays
+public because the benchmark under ``bench/`` traces it for its box-cell
+and component counts, and the tests check the sweep through it.  Its
+components are plain exponent vectors, since no production path reads them.
 
 :func:`ass_profile`, :func:`persistence_scan` and :func:`cross_validate`
 still take ``n`` as their second parameter, although it must equal
@@ -81,27 +84,6 @@ from .quotients import quotient_profile
 from .stability import DEFAULT_ENUMERATION_BOUND, stable_set_enumerate
 
 CELL_CEILING = 10_000_000
-
-
-@_value
-class IrreducibleComponent:
-    """An ideal generated by pure variable powers ``x_i^{e_i}``, stored as
-    the vector of the ``e_i`` (0 where ``x_i`` does not occur)."""
-
-    ground: GroundSet
-    vector: tuple[int, ...]
-
-    @property
-    def powers(self) -> tuple[tuple[int, int], ...]:
-        """The generators as sorted ``(label, exponent)`` pairs."""
-        return tuple((i, e) for i, e in zip(self.ground.indices, self.vector) if e)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in zip(self.ground.indices, self.vector) if e)
-
-    def __contains__(self, w: Monomial) -> bool:
-        return any(e and x >= e for x, e in zip(w.vector, self.vector))
 
 
 def _bounds(vectors) -> list[int]:
@@ -212,8 +194,11 @@ def _split(socle: int, tops):
 
 def irreducible_decomposition(
     J: MonomialIdeal, ceiling: int = CELL_CEILING
-) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant irreducible components of a proper nonzero ideal.
+) -> tuple[tuple[int, ...], ...]:
+    """The irredundant irreducible components of a proper nonzero ideal,
+    each as the exponent vector ``e`` of its generators ``x_i^{e_i}``
+    (0 where ``x_i`` does not occur), by support size and then by the
+    sorted ``(position, exponent)`` pairs of the nonzero entries.
 
     Each socle cell ``w`` of ``J + (x_i^{b_i+1})`` gives the component
     ``(x_i^{w_i+1} : w_i < b_i)`` (Miller-Sturmfels, ch. 5).
@@ -221,11 +206,8 @@ def irreducible_decomposition(
     if J.is_zero or J.is_unit:
         raise ValueError("zero and unit ideals have no irreducible decomposition")
     bounds, cells = _socle_cells(J.vectors, ceiling)
-    out = [
-        IrreducibleComponent(J.ground, tuple(e + 1 if e < b else 0 for e, b in zip(w, bounds)))
-        for w in cells
-    ]
-    out.sort(key=lambda comp: (len(comp.support), comp.powers))
+    out = [tuple(e + 1 if e < b else 0 for e, b in zip(w, bounds)) for w in cells]
+    out.sort(key=lambda e: (len(e) - e.count(0), [(i, x) for i, x in enumerate(e) if x]))
     return tuple(out)
 
 
@@ -273,24 +255,27 @@ def _colon_is_prime(columns, w, p) -> bool:
 
 def _witnesses(ground: GroundSet, vectors, ceiling: int):
     """The kernel of :func:`associated_primes` on the generator ``vectors``
-    of a proper nonzero ideal over ``ground``: each certified prime as a
-    label tuple, with its witness, by size and then lexicographically."""
+    of a proper nonzero ideal over ``ground``: ``(witnesses, maximal)``,
+    each certified prime as a label tuple with its witness vector, by size
+    and then lexicographically, and the m-verdict of :func:`_m_in_ass`
+    read off the same split: whether its first prime is every position."""
     bounds = _bounds(vectors)
     axes, socle, tops = _socle(vectors, bounds, _cells(bounds, ceiling))
     cells = {
         p: _decode((part & -part).bit_length() - 1, axes) for p, part in _split(socle, tops)
     }
+    maximal = len(next(iter(cells))) == len(bounds)
     columns = _columns(vectors, bounds)
     labels, witnesses = ground.indices, {}
     for p in sorted(cells, key=lambda p: (len(p), p)):
-        prime, w = tuple(map(labels.__getitem__, p)), Monomial(ground, cells[p])
-        if not _colon_is_prime(columns, w.vector, p):
+        prime, w = tuple(map(labels.__getitem__, p)), cells[p]
+        if not _colon_is_prime(columns, w, p):
             raise AssertionError(
-                f"J : {w} is not {prime} for J generated by {list(vectors)} over {ground}: "
-                "the socle sweep is buggy"
+                f"J : {Monomial(ground, w)} is not {prime} for J generated by "
+                f"{list(vectors)} over {ground}: the socle sweep is buggy"
             )
         witnesses[prime] = w
-    return witnesses
+    return witnesses, maximal
 
 
 def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
@@ -313,7 +298,8 @@ def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
     """
     if J.is_zero or J.is_unit:
         raise ValueError("associated primes need a proper nonzero ideal")
-    return _witnesses(J.ground, J.vectors, ceiling)
+    witnesses, _ = _witnesses(J.ground, J.vectors, ceiling)
+    return {prime: Monomial(J.ground, w) for prime, w in witnesses.items()}
 
 
 def _m_in_ass(vectors, ceiling: int) -> bool:
@@ -345,7 +331,8 @@ class AssProfile:
     """Associated primes of the first ``kmax`` powers of an expansion.
 
     ``witnesses_by_power[k-1]`` pairs each prime of the k-th power, as a
-    sorted label tuple, with a confirmed colon witness; :meth:`primes_at`
+    sorted label tuple, with the exponent vector of a confirmed colon
+    witness, aligned with the ground set of ``u``; :meth:`primes_at`
     lists the primes alone.  ``stable_from`` is the least power from which
     the sets stay constant within the scanned range (None if never
     repeated).
@@ -353,7 +340,7 @@ class AssProfile:
 
     u: SquarefreeMonomial
     kmax: int
-    witnesses_by_power: tuple[tuple[tuple[tuple[int, ...], Monomial], ...], ...]
+    witnesses_by_power: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
     stable_from: int | None
 
     def primes_at(self, k: int) -> tuple[tuple[int, ...], ...]:
@@ -371,8 +358,9 @@ def ass_profile(
 
 
 def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling: int):
-    """:func:`ass_profile` and the chain ``[I, ..., I^kmax]`` it scanned, as
-    lists of generator vectors (:func:`~borelstab.monomials._powers`)."""
+    """:func:`ass_profile`, the chain ``[I, ..., I^kmax]`` it scanned, as
+    lists of generator vectors (:func:`~borelstab.monomials._powers`), and
+    the m-verdict of each power, read off the split that found its primes."""
     if n is None:
         n = len(u.ground)
     elif n != len(u.ground):
@@ -385,7 +373,7 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
     for k in range(1, kmax + 1):
         _cells([k * b for b in bounds], ceiling)
     powers = _powers(base, kmax)
-    witnessed = [_witnesses(u.ground, vectors, ceiling) for vectors in powers]
+    witnessed, maximal = zip(*(_witnesses(u.ground, vectors, ceiling) for vectors in powers))
     stable_from = None
     for k in range(kmax - 1, 0, -1):
         if witnessed[k - 1].keys() == witnessed[k].keys():
@@ -393,7 +381,7 @@ def _profile_and_powers(u: SquarefreeMonomial, n: int | None, kmax: int, ceiling
         else:
             break
     profile = AssProfile(u, kmax, tuple(tuple(w.items()) for w in witnessed), stable_from)
-    return profile, powers
+    return profile, powers, maximal
 
 
 @_value
@@ -488,12 +476,14 @@ def cross_validate(
     key.  A miss reduces the same projection to its minimal vectors, as
     :func:`~borelstab.localization.localize_by_saturation` does, and runs
     the m-test on their powers; the localization is the whole ring exactly
-    when the zero vector is in the key.  The dict is seeded with the
-    verdicts on the powers of ``I`` under the key of the empty ``A``, so
-    every subset takes the same path.
+    when the zero vector is in the key.  The dict is seeded, under the key
+    of the empty ``A``, with the m-verdicts that the profile's split of
+    each power of ``I`` gave, so every subset takes the same path and no
+    power of ``I`` is split twice; at ``A = {}`` the row still compares the
+    certified primes with the first prime of that split.
     """
     rows = stable_set_enumerate(u, enumeration_bound=enumeration_bound)
-    profile, powers = _profile_and_powers(u, n, kmax, ceiling)
+    profile, powers, maximal = _profile_and_powers(u, n, kmax, ceiling)
     base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
     position = {label: i for i, label in enumerate(labels)}
     ass_sets = [set(profile.primes_at(k)) for k in ks]
@@ -501,7 +491,7 @@ def cross_validate(
     oracle = [labels in ass for ass in ass_sets]
     depth = _compare(formula, oracle, "depth", u, names=("formula", "oracle"))
 
-    verdicts = {frozenset(base): [_m_in_ass(vectors, ceiling) for vectors in powers]}
+    verdicts = {frozenset(base): maximal}
     localization = membership = sharpness = 0
     for row in rows:
         A, prime, lam = row.subset, row.prime, row.stability_index
@@ -535,7 +525,6 @@ __all__ = [
     "CELL_CEILING",
     "CrossValidationError",
     "CrossValidationReport",
-    "IrreducibleComponent",
     "PersistenceReport",
     "ResourceLimitError",
     "ass_profile",

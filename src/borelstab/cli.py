@@ -29,7 +29,7 @@ the two exceptions :func:`run` maps to exit statuses); ``expand`` and
 ``power`` add ``borel``; ``localize`` adds ``borel`` and
 ``localization``; ``colon-profile`` adds ``borel`` and ``quotients``;
 ``lambda``, ``ever-associated``, ``stable-set`` and ``table`` add
-``borel``, ``localization`` and ``stability``; ``ass``, ``persist`` and
+``localization`` and ``stability``; ``ass``, ``persist`` and
 ``validate`` load everything.  The config holds only the keys its file
 sets, so the default of each ceiling stays with the function that
 applies it.
@@ -96,7 +96,10 @@ def _ground_from_args(args) -> GroundSet:
             raise _UsageError(f"malformed --vars {args.vars!r}: {exc}") from None
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
-    return GroundSet.contiguous(args.n)
+    try:
+        return GroundSet.contiguous(args.n)
+    except OverflowError:
+        raise _UsageError(f"--n {args.n} is too large") from None
 
 
 def _cmd_ideal(args, u):

@@ -1,8 +1,10 @@
 """Stable JSON encoding (schema version 1) for every library result.
 
-Monomials become ``{"index": exponent}`` objects with string keys, primes
-become sorted label arrays, and an infinite stability index becomes the
-string ``"inf"``.  A localized generator ``u_A`` is encoded by
+Exponent vectors, the generators of an ideal and the oracle's witnesses,
+become ``{"label": exponent}`` objects keyed by their ground labels as
+strings, through one encoder, :func:`vector_to_obj`; primes become sorted
+label arrays, and an infinite stability index becomes the string
+``"inf"``.  A localized generator ``u_A`` is encoded by
 :func:`squarefree_to_obj` like ``u`` itself, and the whole ring (``u_A``
 None) as ``{}``.  The encoders only write: no verb reads JSON back, and
 the CLI goldens pin every encoder's output byte for byte.  Every result
@@ -18,15 +20,16 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .assprimes import AssProfile, CrossValidationReport, PersistenceReport
-    from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial
+    from .monomials import MonomialIdeal, SquarefreeMonomial
     from .quotients import QuotientProfile
     from .stability import StableSetEntry
 
 SCHEMA_VERSION = 1
 
 
-def monomial_to_obj(w: Monomial) -> dict[str, int]:
-    return {str(i): e for i, e in w.exps}
+def vector_to_obj(labels, vector) -> dict[str, int]:
+    """The nonzero entries of ``vector`` keyed by the ground ``labels``."""
+    return {str(i): e for i, e in zip(labels, vector) if e}
 
 
 def squarefree_to_obj(u: SquarefreeMonomial) -> dict[str, int]:
@@ -52,7 +55,7 @@ def ideal_to_obj(J: MonomialIdeal) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "ground": list(J.ground.indices),
-        "generators": [monomial_to_obj(g) for g in J.generators],
+        "generators": [vector_to_obj(J.ground.indices, g) for g in J.vectors],
     }
 
 
@@ -83,7 +86,7 @@ def localization_to_obj(
         "uA": {} if local is None else squarefree_to_obj(local),
         "ground": list(A.complement),
         "unit_ideal": local is None,
-        "generators": [monomial_to_obj(g) for g in expansion.generators]
+        "generators": [vector_to_obj(expansion.ground.indices, g) for g in expansion.vectors]
         if expansion is not None
         else [],
     }
@@ -101,19 +104,17 @@ def quotient_profile_to_obj(u: SquarefreeMonomial, profile: QuotientProfile) -> 
 
 
 def ass_profile_to_obj(profile: AssProfile) -> dict[str, Any]:
-    powers = []
-    for k in range(1, profile.kmax + 1):
-        witnesses = profile.witnesses_by_power[k - 1]
-        powers.append(
-            {
-                "k": k,
-                "primes": [list(p) for p in profile.primes_at(k)],
-                "witnesses": [
-                    {"prime": list(p), "witness": monomial_to_obj(w)}
-                    for p, w in witnesses
-                ],
-            }
-        )
+    labels = profile.u.ground.indices
+    powers = [
+        {
+            "k": k,
+            "primes": [list(p) for p, _ in witnesses],
+            "witnesses": [
+                {"prime": list(p), "witness": vector_to_obj(labels, w)} for p, w in witnesses
+            ],
+        }
+        for k, witnesses in enumerate(profile.witnesses_by_power, 1)
+    ]
     return _header(profile.u, kmax=profile.kmax, powers=powers, stable_from=profile.stable_from)
 
 
@@ -147,9 +148,9 @@ __all__ = [
     "lambda_to_obj",
     "localization_to_obj",
     "max_ideal_to_obj",
-    "monomial_to_obj",
     "persistence_to_obj",
     "quotient_profile_to_obj",
     "squarefree_to_obj",
     "stable_set_to_obj",
+    "vector_to_obj",
 ]

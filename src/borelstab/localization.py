@@ -17,14 +17,14 @@ whole ring and ``u_A`` is None.  The closed form and the saturation route
 are kept separate so that each can check the other; the latter projects
 the generators onto the labels of ``P_A`` (:func:`_projected`), as the
 oracle's memo key does.  :func:`localized_expansion` has no caller in the
-package; it stays because the benchmark under ``bench/`` calls it.
+package; it stays because the benchmark under ``bench/`` calls it, and it
+imports ``borel`` itself so that the closed-form verbs do not load it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .borel import expand_squarefree
 from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced, _value
 
 
@@ -120,6 +120,8 @@ def _projected(vectors, positions) -> list[tuple[int, ...]]:
 
 def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIdeal | None:
     """Expansion of ``u_A`` over the complement, or None for the unit ideal."""
+    from .borel import expand_squarefree
+
     local = localize_closed_form(u, A)
     return None if local is None else expand_squarefree(local)
 

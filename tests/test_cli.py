@@ -271,6 +271,11 @@ class TestExitCodes:
         code, _, err = invoke(["lambda", "--u", "2,3", "--n", n])
         assert code == 2 and "--n must be at least 1" in err
 
+    def test_usage_error_on_n_too_large_for_a_tuple(self):
+        code, out, err = invoke(["lambda", "--u", "2", "--n", "99999999999999999999"])
+        assert (code, out) == (2, "")
+        assert err == "usage error: --n 99999999999999999999 is too large\n"
+
     @pytest.mark.parametrize("labels", ["3,2", "2,2", "0,2", "a,2"])
     def test_usage_error_on_bad_vars(self, labels):
         code, out, err = invoke(["power", "--u", "2", "--vars", labels, "--k", "1"])

@@ -13,9 +13,10 @@ import borelstab
 SRC = str(Path(borelstab.__file__).resolve().parents[1])
 
 # The names the package exported when it still imported every module, less
-# ``LocalizedGenerator``: a localized generator is a ``SquarefreeMonomial``.
+# ``LocalizedGenerator``: a localized generator is a ``SquarefreeMonomial``;
+# and less ``IrreducibleComponent``: a component is its exponent vector.
 EXPORTS = [
-    "AssProfile", "CrossValidationError", "CrossValidationReport", "IrreducibleComponent",
+    "AssProfile", "CrossValidationError", "CrossValidationReport",
     "PersistenceReport", "ResourceLimitError", "ass_profile", "associated_primes",
     "cross_validate", "irreducible_decomposition", "m_in_ass", "persistence_scan",
     "NotPrincipalError", "borel_closure", "expand_squarefree", "extract_borel_generator",
@@ -31,7 +32,7 @@ EXPORTS = [
 ]  # fmt: skip
 
 EVERY_VERB = {"cli", "jsonio", "monomials"}
-STABILITY = {"borel", "localization", "stability"}
+STABILITY = {"localization", "stability"}
 EVERYTHING = {"assprimes", "borel", "localization", "quotients", "stability"}
 LOADS = {
     "expand": {"borel"},

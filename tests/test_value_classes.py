@@ -1,14 +1,9 @@
-"""The semantics the 12 value classes had as frozen dataclasses, kept by
+"""The semantics the 11 value classes had as frozen dataclasses, kept by
 ``monomials._value``: construction, equality, hash, repr and immutability."""
 
 import pytest
 
-from borelstab.assprimes import (
-    AssProfile,
-    CrossValidationReport,
-    IrreducibleComponent,
-    PersistenceReport,
-)
+from borelstab.assprimes import AssProfile, CrossValidationReport, PersistenceReport
 from borelstab.localization import VariableSubset
 from borelstab.monomials import GroundSet, Monomial, MonomialIdeal, SquarefreeMonomial, _value
 from borelstab.quotients import QuotientProfile
@@ -34,7 +29,6 @@ FIELDS = {
         "subset": (1,), "generator": LOCAL, "prime": (2, 3), "member": True,
         "stability_index": 2,
     },
-    IrreducibleComponent: {"ground": G, "vector": (1, 0, 2)},
     AssProfile: {"u": U, "kmax": 1, "witnesses_by_power": ((),), "stable_from": None},
     PersistenceReport: {"u": U, "kmax": 2, "violations": ()},
     CrossValidationReport: {
