@@ -304,10 +304,10 @@ def associated_primes(J: MonomialIdeal, ceiling: int = CELL_CEILING):
 
 def _m_in_ass(vectors, ceiling: int) -> bool:
     """The kernel of :func:`m_in_ass` on the generator ``vectors`` of a
-    proper nonzero ideal: whether the first prime of the split is every
-    position.  A bound ``b_i = 0`` puts every cell on the top face of axis
-    ``i``, so the answer is False without a sweep; the box is still held to
-    the ceiling first."""
+    nonzero ideal: whether the first prime of the split is every position.
+    A bound ``b_i = 0`` puts every cell on the top face of axis ``i``, so
+    the answer is False without a sweep, as for the unit ideal, whose one
+    vector is zero; the box is still held to the ceiling first."""
     bounds = _bounds(vectors)
     cells = _cells(bounds, ceiling)
     if not all(bounds):
@@ -457,16 +457,17 @@ def cross_validate(
     """Tie every closed form to the oracle on one generator.
 
     Checks, for each power k up to kmax: the maximal ideal is associated
-    exactly when q = n - 1; each prime ``P_A`` is associated exactly when
-    the maximal ideal of the saturation-localized ideal is, and exactly
-    when its index ``lambda_A`` is at most k, which is sharp.  The subsets,
-    primes and indices are the rows of :func:`stable_set_enumerate`, the
-    table that ``stable-set`` prints, so its bound refusal comes first and
-    its combinatorial referee runs on every subset.  Each row builds one
-    list ``in_ass[k-1] = P_A in Ass(I^k)`` and compares it with each
-    route's list through :func:`_compare`, the one path that counts the
-    comparisons and raises :class:`CrossValidationError` with a minimal
-    reproducer at the first mismatch.
+    exactly when the depth-zero flag of :func:`quotient_profile` is set;
+    each prime ``P_A`` is associated exactly when the maximal ideal of the
+    saturation-localized ideal is, and exactly when its index ``lambda_A``
+    is at most k, which is sharp.  The subsets, primes and indices are the
+    rows of :func:`stable_set_enumerate`, the table that ``stable-set``
+    prints, so its bound refusal comes first and its combinatorial referee
+    runs on every subset.  Each row builds one list ``in_ass[k-1] = P_A in
+    Ass(I^k)`` and compares it with each route's list through
+    :func:`_compare`, the one path that counts the comparisons and raises
+    :class:`CrossValidationError` with a minimal reproducer at the first
+    mismatch.
 
     Many subsets localize to the same ideal, so the oracle verdicts on the
     localized powers are kept in a dict local to the call.  Its key is the
@@ -475,19 +476,20 @@ def cross_validate(
     the m-test reads.  The closed-form ``u_A`` of a row never enters the
     key.  A miss reduces the same projection to its minimal vectors, as
     :func:`~borelstab.localization.localize_by_saturation` does, and runs
-    the m-test on their powers; the localization is the whole ring exactly
-    when the zero vector is in the key.  The dict is seeded, under the key
-    of the empty ``A``, with the m-verdicts that the profile's split of
-    each power of ``I`` gave, so every subset takes the same path and no
-    power of ``I`` is split twice; at ``A = {}`` the row still compares the
-    certified primes with the first prime of that split.
+    the m-test on their powers.  A localization to the whole ring takes
+    the same path: its minimal vectors are the zero vector alone, so every
+    bound is 0 and the m-test answers False without a sweep.  The dict is
+    seeded, under the key of the empty ``A``, with the m-verdicts that the
+    profile's split of each power of ``I`` gave, so every subset takes the
+    same path and no power of ``I`` is split twice; at ``A = {}`` the row
+    still compares the certified primes with the first prime of that split.
     """
     rows = stable_set_enumerate(u, enumeration_bound=enumeration_bound)
     profile, powers, maximal = _profile_and_powers(u, n, kmax, ceiling)
     base, ks, labels = powers[0], range(1, kmax + 1), u.ground.indices
     position = {label: i for i, label in enumerate(labels)}
     ass_sets = [set(profile.primes_at(k)) for k in ks]
-    formula = [quotient_profile(u, k).q == len(labels) - 1 for k in ks]
+    formula = [quotient_profile(u, k).m_in_ass for k in ks]
     oracle = [labels in ass for ass in ass_sets]
     depth = _compare(formula, oracle, "depth", u, names=("formula", "oracle"))
 
@@ -500,14 +502,9 @@ def cross_validate(
             key = frozenset(_projected(base, [position[i] for i in prime]))
             local = verdicts.get(key)
             if local is None:
-                local = verdicts[key] = (
-                    [False] * kmax
-                    if (0,) * len(prime) in key
-                    else [
-                        _m_in_ass(vectors, ceiling)
-                        for vectors in _powers(_minimal_vectors(key), kmax)
-                    ]
-                )
+                local = verdicts[key] = [
+                    _m_in_ass(vectors, ceiling) for vectors in _powers(_minimal_vectors(key), kmax)
+                ]
             names = ("P_A in Ass(I^k)", "m in Ass(I(P_A)^k)")
             localization += _compare(in_ass, local, "localization", u, A, names=names)
         expected = [lam <= k for k in ks]

@@ -85,7 +85,7 @@ def _prime_str(labels) -> str:
 
 def _generator_str(local) -> str:
     """A localized generator ``u_A``; the whole ring (None) shows as 1."""
-    return "1" if local is None else "".join(f"x_{i}" for i in local.indices)
+    return "1" if local is None else str(local)
 
 
 def _ground_from_args(args) -> GroundSet:
@@ -119,7 +119,7 @@ def _cmd_localize(args, u):
     A = _usage(localization.parse_subset, args.A or "", u.ground)
     local = localization.localize_closed_form(u, A)
     expansion = None if local is None else expand_squarefree(local)
-    if A.members and A.complement:
+    if A.complement:
         sat = localization.localize_by_saturation(expand_squarefree(u), A)
         if not (sat.is_unit if expansion is None else sat == expansion):
             raise AssertionError("closed form and saturation disagree")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced, _value
+from .monomials import _check_labels
 
 
 @_value
@@ -42,6 +43,7 @@ class VariableSubset:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        _check_labels(self.members)
         gone = set(self.members)
         members = tuple(sorted(gone))
         labels = self.ambient.indices
@@ -98,12 +100,10 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     to zero, so re-housing it on the complement ground set is the
     projection of each generator onto the complement positions.  The
     projections can divide one another, so the ideal's one minimality
-    pass drops the redundant ones.
+    pass drops the redundant ones.  An empty ``A`` gives an ideal equal to ``J``.
     """
     if A.ambient != J.ground:
         raise ValueError("subset over a different ground set")
-    if not A.members:
-        return J
     kept = A.complement
     if not kept:
         raise ValueError("localizing at every variable leaves no ambient ring")

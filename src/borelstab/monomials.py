@@ -99,6 +99,14 @@ def _value(cls):
     return cls
 
 
+def _check_labels(labels) -> None:
+    """Refuse a label that is not an ``int``: ``1.0`` and ``True`` equal
+    one but print as another, and ``"1"`` cannot be compared with one."""
+    for i in labels:
+        if type(i) is not int:
+            raise ValueError(f"variable label {i!r} is not an int")
+
+
 def _check_same_ground(a, b) -> None:
     if a.ground != b.ground:
         raise GroundSetMismatch(f"ground sets differ: {a.ground} vs {b.ground}")
@@ -115,7 +123,8 @@ class GroundSet:
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("ground set must be non-empty")
-        if any(not isinstance(i, int) or i < 1 for i in idx):
+        _check_labels(idx)
+        if min(idx) < 1:
             raise ValueError(f"variable labels must be positive integers: {idx}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"variable labels must be strictly increasing: {idx}")
@@ -224,7 +233,8 @@ class Monomial:
 
 @_value
 class SquarefreeMonomial:
-    """A squarefree monomial, identified with its support ``i_1 < ... < i_d``."""
+    """A squarefree monomial, identified with its support ``i_1 < ... < i_d``
+    of ``int`` labels of the ground set, and printed from the support alone."""
 
     ground: GroundSet
     indices: tuple[int, ...]
@@ -234,6 +244,7 @@ class SquarefreeMonomial:
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("squarefree monomial needs at least one variable")
+        _check_labels(idx)
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"support must be strictly increasing: {idx}")
         for i in idx:
@@ -252,15 +263,12 @@ class SquarefreeMonomial:
     def max_index(self) -> int:
         return self.indices[-1]
 
-    def to_monomial(self) -> Monomial:
-        return self.power(1)
-
     def power(self, k: int) -> Monomial:
         support = set(self.indices)
         return Monomial(self.ground, tuple(k if i in support else 0 for i in self.ground))
 
     def __str__(self) -> str:
-        return str(self.to_monomial())
+        return "".join(f"x_{i}" for i in self.indices)
 
 
 @_value

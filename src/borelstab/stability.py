@@ -213,18 +213,22 @@ def lambda_of_prime(u: SquarefreeMonomial, A: VariableSubset) -> int | float:
 
 @_value
 class StableSetEntry:
-    """One subset ``A`` with its localized generator and membership data.
+    """One subset ``A`` with its localized generator and stability index.
 
     ``generator`` is ``u_A``, None when the localization is the whole
     ring.  ``prime`` lists the generator labels of ``P_A``: the complement
     of ``A``, which is also the ground set of the localized ring.
+    ``member`` is not a field: a member is a subset of finite index.
     """
 
     subset: tuple[int, ...]
     generator: SquarefreeMonomial | None
     prime: tuple[int, ...]
-    member: bool
     stability_index: int | float
+
+    @property
+    def member(self) -> bool:
+        return self.stability_index != INFINITE
 
 
 def stable_set_enumerate(
@@ -233,11 +237,10 @@ def stable_set_enumerate(
     members_only: bool = False,
     enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> list[StableSetEntry]:
-    """Every subset ``A`` with membership verdicts and stability indices.
+    """Every subset ``A`` with its localized generator and stability index.
 
-    Subsets are listed by cardinality and then lexicographically.  A
-    subset is a member exactly when its index is finite, and the
-    combinatorial route must agree with every such verdict.
+    Subsets are listed by cardinality and then lexicographically.  The
+    combinatorial route must agree with every membership verdict.
     """
     n = len(u.ground)
     if n > enumeration_bound:
@@ -249,24 +252,15 @@ def stable_set_enumerate(
             A = VariableSubset(u.ground, combo)
             local = localize_closed_form(u, A)
             lam = INFINITE if local is None else lambda_max_ideal(local)
-            member = lam != INFINITE
+            entry = StableSetEntry(combo, local, A.complement, lam)
             combinatorial = stable_membership_combinatorial(u, A)
-            if member != combinatorial:
+            if entry.member != combinatorial:
                 raise AssertionError(
                     f"membership routes disagree at u={u}, A={combo}: "
-                    f"direct={member}, combinatorial={combinatorial}"
+                    f"direct={entry.member}, combinatorial={combinatorial}"
                 )
-            if members_only and not member:
-                continue
-            entries.append(
-                StableSetEntry(
-                    subset=combo,
-                    generator=local,
-                    prime=A.complement,
-                    member=member,
-                    stability_index=lam,
-                )
-            )
+            if entry.member or not members_only:
+                entries.append(entry)
     return entries
 
 

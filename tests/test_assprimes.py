@@ -53,7 +53,7 @@ def forge_indices(monkeypatch, forged):
 
     def rows(u, **options):
         return [
-            StableSetEntry(e.subset, e.generator, e.prime, e.member, forged(e.stability_index))
+            StableSetEntry(e.subset, e.generator, e.prime, forged(e.stability_index))
             for e in real(u, **options)
         ]
 
@@ -352,10 +352,10 @@ class TestCrossValidate:
     # first subset with a finite index is A = {5} with lambda_A = 3
 
     def test_depth_failure_names_first_power(self, monkeypatch):
-        # q forged to n - 1 at every power: the formula claims the maximal
-        # ideal at k = 1, where the oracle does not find it
+        # the depth-zero flag (q = n - 1) forged at every power: the formula
+        # claims the maximal ideal at k = 1, where the oracle does not find it
         monkeypatch.setattr(
-            assprimes, "quotient_profile", lambda u, k: SimpleNamespace(q=len(u.ground) - 1)
+            assprimes, "quotient_profile", lambda u, k: SimpleNamespace(m_in_ass=True)
         )
         with pytest.raises(CrossValidationError) as failure:
             cross_validate(sf(GroundSet.contiguous(5), 2, 3, 4), 5, 3)
@@ -418,9 +418,10 @@ class TestCrossValidate:
 
     def test_every_subset_checked_oracle_once_per_ideal(self, monkeypatch):
         # every subset runs its comparisons, while the m-test kernel runs
-        # kmax times per distinct non-unit projection of I off a nonempty A;
-        # the verdicts for A = {} (the powers of I itself) come from the
-        # splits that found their primes, so no power of I is split twice
+        # kmax times per distinct projection of I off a nonempty A, a unit
+        # localization included (its zero bounds answer at once); the
+        # verdicts for A = {} (the powers of I itself) come from the splits
+        # that found their primes, so no power of I is split twice
         calls = []
         real = assprimes._m_in_ass
 
@@ -437,9 +438,7 @@ class TestCrossValidate:
                 for members in all_subsets(n):
                     kept = [i for i in range(n) if i + 1 not in members]
                     if members and kept:
-                        projected = frozenset(tuple(g[i] for i in kept) for g in base.vectors)
-                        if not any(not any(g) for g in projected):
-                            projections.add(projected)
+                        projections.add(frozenset(tuple(g[i] for i in kept) for g in base.vectors))
                 calls.clear()
                 report = cross_validate(u, kmax=kmax)
                 assert report.localization_checks == (2**n - 1) * kmax, u

@@ -43,7 +43,7 @@ class TestExpandSquarefree:
             mono(g5, x1=1, x2=1, x4=1, x5=1),
             mono(g5, x1=1, x3=1, x4=1, x5=1),
         }
-        assert got == closure_by_moves(worked_generator.to_monomial(), 1)
+        assert got == closure_by_moves(worked_generator.power(1), 1)
 
     def test_general_ground_set(self):
         g = GroundSet((3, 4, 5))
@@ -161,7 +161,7 @@ class TestPowerGenerators:
         assert power_generators(sf(g3, 1), 3).generators == (mono(g3, x1=3),)
         assert len(power_generators(sf(g3, 2, 3), 2).generators) == 6
         u = sf(g5, 2, 3, 5)
-        assert power_generators(u, 1) == closure_by_moves(u.to_monomial(), 1)
+        assert power_generators(u, 1) == closure_by_moves(u.power(1), 1)
 
     def test_equals_product_route(self):
         for n in range(1, 7):
@@ -236,5 +236,5 @@ class TestExtractBorelGenerator:
         for n in range(1, 6):
             for u in all_squarefree(n):
                 J = expand_squarefree(u)
-                assert extract_borel_generator(J, 1) == u.to_monomial()
+                assert extract_borel_generator(J, 1) == u.power(1)
 

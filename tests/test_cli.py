@@ -405,9 +405,11 @@ def test_internal_fault_exits_4(monkeypatch):
         return SquarefreeMonomial(local.ground, local.indices[1:])
 
     monkeypatch.setattr(localization, "localize_closed_form", dropped)
-    code, out, err = invoke(LOCALIZE)
-    assert code == 4 and not out
-    assert err == "internal error: closed form and saturation disagree\n"
+    # the empty A too: the saturation route projects onto every position
+    for argv in (LOCALIZE, LOCALIZE[:-2]):
+        code, out, err = invoke(argv)
+        assert code == 4 and not out
+        assert err == "internal error: closed form and saturation disagree\n"
 
 
 def test_internal_fault_exits_4_under_optimize(monkeypatch):

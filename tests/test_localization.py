@@ -40,6 +40,12 @@ class TestVariableSubset:
         assert VariableSubset(g5, ()).complement == (1, 2, 3, 4, 5)
         assert VariableSubset(GroundSet((2, 3, 5, 7)), (7, 3)).complement == (2, 5)
 
+    @pytest.mark.parametrize("label", [1.0, True, "1"], ids=repr)
+    def test_refuses_a_label_that_is_not_an_int(self, g5, label):
+        # 1.0 and True equal the label 1; "1" cannot be compared with it
+        with pytest.raises(ValueError, match=f"^variable label {label!r} is not an int$"):
+            VariableSubset(g5, (label, 3))
+
     def test_parse(self, g5):
         assert parse_subset("A=1,5", g5).members == (1, 5)
         assert parse_subset("1,5", g5).members == (1, 5)

@@ -3,6 +3,7 @@ and an enumeration-based colon oracle, plus the structural invariants."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from borelstab import (
     GroundSetMismatch,
     Monomial,
     MonomialIdeal,
+    SquarefreeMonomial,
     colon,
     expand_squarefree,
     ideal_power,
@@ -31,6 +33,14 @@ from conftest import (
 )
 
 
+# labels that equal or look like the label 1 but are not ints
+NOT_INTS = pytest.mark.parametrize("label", [1.0, True, "1"], ids=repr)
+
+
+def not_an_int(label) -> str:
+    return f"^variable label {re.escape(repr(label))} is not an int$"
+
+
 class TestGroundSet:
     def test_contiguous(self):
         assert GroundSet.contiguous(3).indices == (1, 2, 3)
@@ -46,6 +56,28 @@ class TestGroundSet:
     def test_rejects_bad_labels(self, bad):
         with pytest.raises(ValueError):
             GroundSet(bad)
+
+    @NOT_INTS
+    def test_refuses_a_label_that_is_not_an_int(self, label):
+        with pytest.raises(ValueError, match=not_an_int(label)):
+            GroundSet((label, 2))
+
+
+class TestSquarefreeMonomial:
+    @NOT_INTS
+    def test_refuses_a_label_that_is_not_an_int(self, g3, label):
+        with pytest.raises(ValueError, match=not_an_int(label)):
+            SquarefreeMonomial(g3, (label, 3))
+
+    def test_str_builds_no_monomial(self, g5, monkeypatch):
+        u = sf(g5, 1, 3, 5)
+
+        def refuse(self):
+            raise AssertionError("str(u) built a Monomial")
+
+        monkeypatch.setattr(Monomial, "__post_init__", refuse)
+        assert str(u) == "x_1x_3x_5"
+        assert str(sf(GroundSet((2, 7)), 7)) == "x_7"
 
 
 class TestMonomialBasics:

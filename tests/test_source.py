@@ -8,7 +8,9 @@ import borelstab
 from borelstab import Monomial, MonomialIdeal
 
 PACKAGE = Path(borelstab.__file__).parent
-BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_SPANS = BENCH / "spans.py"
+BENCH_CHECKS = BENCH / "checks.py"
 
 
 def test_no_bare_asserts():
@@ -75,21 +77,54 @@ def test_one_socle_split():
     assert callers("_split") == {"assprimes._witnesses", "assprimes._m_in_ass"}
 
 
+def submodule(module, name):
+    """The module ``module.name``, or None when ``name`` is not a submodule."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def bench_checks_names():
+    """``(module, name)`` for each name ``bench/checks.py`` imports from the
+    package, and for each attribute it reads off an imported module."""
+    tree = ast.parse(BENCH_CHECKS.read_text(), str(BENCH_CHECKS))
+    imported, modules = [], {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "borelstab":
+            for alias in node.names:
+                imported.append((node.module, alias.name))
+                if submodule(node.module, alias.name):
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    read = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    return imported + sorted(read)
+
+
 def test_names_the_bench_reads_exist():
     # the benchmark wraps the functions in its TRACED table and reads two
-    # vector methods; read the table without importing the benchmark, so a
-    # deleted name fails here and not only in the benchmark run
+    # vector methods; its answer checks import names from the package and
+    # read attributes of its modules (stability.ever_associated,
+    # jsonio.ideal_to_obj, ...).  Read both files without importing the
+    # benchmark, so a deleted name fails here and not only in the benchmark run
     tree = ast.parse(BENCH_SPANS.read_text(), str(BENCH_SPANS))
     (traced,) = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
     ]
+    names = [(f"borelstab.{module}", name) for module, names in traced.items() for name in names]
+    checks = bench_checks_names()
+    assert ("borelstab.stability", "ever_associated") in checks
     missing = [
         f"{module}.{name}"
-        for module, names in traced.items()
-        for name in names
-        if not hasattr(importlib.import_module(f"borelstab.{module}"), name)
+        for module, name in names + checks
+        if not hasattr(importlib.import_module(module), name) and not submodule(module, name)
     ]
     assert not missing, missing
     assert hasattr(MonomialIdeal, "generator_vectors")

@@ -7,7 +7,7 @@ from borelstab.assprimes import AssProfile, CrossValidationReport, PersistenceRe
 from borelstab.localization import VariableSubset
 from borelstab.monomials import GroundSet, Monomial, MonomialIdeal, SquarefreeMonomial, _value
 from borelstab.quotients import QuotientProfile
-from borelstab.stability import IntervalDecomposition, StableSetEntry
+from borelstab.stability import INFINITE, IntervalDecomposition, StableSetEntry
 
 G = GroundSet((1, 2, 3))
 U = SquarefreeMonomial(G, (2, 3))
@@ -26,8 +26,7 @@ FIELDS = {
     },
     IntervalDecomposition: {"blocks": ((2, 3),), "lengths": (1,), "gaps": (1,)},
     StableSetEntry: {
-        "subset": (1,), "generator": LOCAL, "prime": (2, 3), "member": True,
-        "stability_index": 2,
+        "subset": (1,), "generator": LOCAL, "prime": (2, 3), "stability_index": 2,
     },
     AssProfile: {"u": U, "kmax": 1, "witnesses_by_power": ((),), "stable_from": None},
     PersistenceReport: {"u": U, "kmax": 2, "violations": ()},
@@ -101,6 +100,12 @@ def test_post_init_normalizes_and_validates():
         VariableSubset(G, (4,))
     with pytest.raises(ValueError, match="^7 not in ambient ground set"):
         VariableSubset(G, (9, 1, 7))
+
+
+def test_stable_set_entry_reads_membership_off_its_index():
+    # member is a property, not a field: finite index, member
+    assert StableSetEntry(**FIELDS[StableSetEntry]).member is True
+    assert StableSetEntry((1, 2, 3), None, (), INFINITE).member is False
 
 
 def test_cached_property_still_caches():
