@@ -19,16 +19,16 @@ _EXPORTS = {
     "assprimes": """AssProfile CrossValidationReport PersistenceReport ass_profile
         associated_primes cross_validate irreducible_decomposition m_in_ass persistence_scan""",
     "borel": """NotPrincipalError borel_closure expand_squarefree extract_borel_generator
-        is_power_generator is_strongly_stable power_generators""",
+        is_power_generator power_generators""",
     "localization": """VariableSubset localize_by_saturation localize_closed_form
         localized_expansion parse_subset""",
     "monomials": """CrossValidationError GroundSet GroundSetMismatch Monomial MonomialIdeal
         ResourceLimitError SquarefreeMonomial colon ideal_power minimalize parse_monomial
         parse_squarefree saturate""",
     "quotients": "QuotientProfile depth_zero_witness quotient_profile",
-    "stability": """INFINITE IntervalDecomposition StableSetEntry cover_positions
-        ever_associated interval_decomposition lambda_max_ideal lambda_of_prime
-        lambda_value_witness stable_membership_combinatorial stable_set_enumerate""",
+    "stability": """INFINITE IntervalDecomposition StableSetEntry ever_associated
+        interval_decomposition lambda_max_ideal lambda_of_prime lambda_value_witness
+        stable_membership_combinatorial stable_set_enumerate""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

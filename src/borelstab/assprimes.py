@@ -79,6 +79,7 @@ from .monomials import (
     _minimal_vectors,
     _powers,
     _value,
+    vector_to_str,
 )
 from .quotients import quotient_profile
 from .stability import DEFAULT_ENUMERATION_BOUND, stable_set_enumerate
@@ -271,7 +272,7 @@ def _witnesses(ground: GroundSet, vectors, ceiling: int):
         prime, w = tuple(map(labels.__getitem__, p)), cells[p]
         if not _colon_is_prime(columns, w, p):
             raise AssertionError(
-                f"J : {Monomial(ground, w)} is not {prime} for J generated by "
+                f"J : {vector_to_str(labels, w)} is not {prime} for J generated by "
                 f"{list(vectors)} over {ground}: the socle sweep is buggy"
             )
         witnesses[prime] = w

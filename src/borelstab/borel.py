@@ -35,19 +35,21 @@ position up to ``min(c, D - s)`` keeps every prefix sum at least
 used, each row is in decreasing lex order, and a suffix is built once
 for all the prefixes that reach its state.
 
-The breadth-first closure over :func:`borel_moves` is the definitional
-route; the tests keep it as the walk's referee.
+The walk reads the vector of ``u^k`` (``SquarefreeMonomial.power_vector``)
+and builds no :class:`~borelstab.monomials.Monomial`.  Its referees live
+with the tests: the breadth-first closure under every capped exchange,
+and the definitional check of strong stability.
 
-:func:`is_strongly_stable` and :func:`extract_borel_generator` have no
-caller in the package.  They stay as the definitional check of strong
-stability and the recognition of a principal Borel ideal.
+:func:`extract_borel_generator` and :class:`NotPrincipalError` have no
+caller in the package.  They stay public because they recognize the
+paper's object, a principal Borel ideal, from its generators (demo 01).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from operator import ge, le
+from operator import ge
 
 from .monomials import (
     Monomial,
@@ -84,19 +86,6 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     return tails[0]
 
 
-def borel_moves(vec: tuple[int, ...], cap: int):
-    """Yield every legal exchange x_i * (vec / x_j), i < j, below the cap."""
-    for j, ej in enumerate(vec):
-        if ej < 1:
-            continue
-        for i in range(j):
-            if vec[i] < cap:
-                moved = list(vec)
-                moved[i] += 1
-                moved[j] -= 1
-                yield tuple(moved)
-
-
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
     """Smallest cap-strongly stable generator set containing ``w``, each
     generator emitted once by the prefix-dominance walk."""
@@ -112,7 +101,7 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     Borel generator ``u = x_{i_1} ... x_{i_d}``, its cap-1 closure: every
     ``x_{j_1} ... x_{j_d}`` with ``j_1 < ... < j_d`` in the ground set and
     ``j_t <= i_t`` for every ``t``."""
-    return MonomialIdeal(u.ground, _dominating_vectors(u.power(1).vector, 1))
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(1), 1))
 
 
 def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
@@ -125,7 +114,7 @@ def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
     if _over_cap(w.vector, k):
         raise ValueError(f"exponent above cap {k} in {w}")
-    return all(map(ge, accumulate(w.vector), accumulate(u.power(k).vector)))
+    return all(map(ge, accumulate(w.vector), accumulate(u.power_vector(k))))
 
 
 def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
@@ -134,18 +123,7 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
     ``ideal_power(expand_squarefree(u), k)``."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return MonomialIdeal(u.ground, _dominating_vectors(u.power(k).vector, k))
-
-
-def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:
-    """Check the exchange property for every generator of ``J``."""
-    for g in J.vectors:
-        if _over_cap(g, cap):
-            return False
-        for moved in borel_moves(g, cap):
-            if not any(all(map(le, h, moved)) for h in J.vectors):
-                return False
-    return True
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(k), k))
 
 
 def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
@@ -172,10 +150,8 @@ def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
 __all__ = [
     "NotPrincipalError",
     "borel_closure",
-    "borel_moves",
     "expand_squarefree",
     "extract_borel_generator",
     "is_power_generator",
-    "is_strongly_stable",
     "power_generators",
 ]

@@ -56,6 +56,7 @@ from .monomials import (
     ResourceLimitError,
     parse_monomial,
     parse_squarefree,
+    vector_to_str,
 )
 
 _CONFIG_KEYS = ("max_n", "max_kmax", "cell_ceiling")
@@ -109,7 +110,8 @@ def _cmd_ideal(args, u):
     J = (borel_closure if args.verb == "expand" else power_generators)(u, args.k)
     if args.format == "json":
         return jsonio.ideal_to_obj(J), 0
-    return [f"# {len(J)} generators over {J.ground}", *map(str, J.generators)], 0
+    lines = [vector_to_str(J.ground.indices, v) for v in J.vectors]
+    return [f"# {len(J)} generators over {J.ground}", *lines], 0
 
 
 def _cmd_localize(args, u):
@@ -136,9 +138,10 @@ def _cmd_colon_profile(args, u):
     J, profile = quotients._power_profile(u, args.k)
     if args.format == "json":
         return jsonio.quotient_profile_to_obj(u, profile), 0
+    labels = J.ground.indices
     lines = [
-        f"i={pos:<3} u_i={g!s:<24} colon={_set_str(sorted(s))}"
-        for pos, (g, s) in enumerate(zip(J.generators, profile.colon_sets), start=1)
+        f"i={pos:<3} u_i={vector_to_str(labels, g):<24} colon={_set_str(sorted(s))}"
+        for pos, (g, s) in enumerate(zip(J.vectors, profile.colon_sets), start=1)
     ]
     flag = str(profile.m_in_ass).lower()
     return lines + [f"q = {profile.q}", f"depth = {profile.depth}", f"m_in_ass = {flag}"], 0

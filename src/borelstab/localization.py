@@ -54,9 +54,6 @@ class VariableSubset:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "complement", complement)
 
-    def __str__(self) -> str:
-        return "A=" + ",".join(str(i) for i in self.members)
-
 
 def parse_subset(text: str, ambient: GroundSet) -> VariableSubset:
     """Parse ``A=1,5`` (or a bare ``1,5``); empty text is the empty subset."""

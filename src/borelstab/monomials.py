@@ -6,16 +6,19 @@ are positive integers carried by a :class:`GroundSet`, so localized ideals
 can keep their original labels (e.g. live on the variables ``{2, 3, 4, 5}``)
 without renumbering.
 
-:class:`Monomial` is the boundary type for text and JSON.  It is built by
-its positional constructor ``Monomial(ground, vector)``, by
-:meth:`Monomial.make` and :meth:`Monomial.unit`, or by
-:func:`parse_monomial`, and read through ``vector``, ``exps``, ``degree``,
-``support`` and ``str``.  Ideal arithmetic never multiplies or divides
-``Monomial`` values: every kernel reads and builds the exponent vectors of
-a :class:`MonomialIdeal`, whose ``in`` is the membership test.  Each
-ideal checks its generators in bulk, a few C-level passes over the whole
-list, and falls back to a check of one generator at a time only to name
-the first bad one.
+:class:`Monomial` is a boundary type: the package builds one only where
+a monomial crosses into or out of it.  In, :func:`parse_monomial` reads
+the CLI's ``--u``; out, a few public functions hand a caller a
+``Monomial`` (``SquarefreeMonomial.power``, the ``generators`` view of an
+ideal, the oracle's witnesses, the depth-zero witness and the recognized
+Borel generator).  Its entries are non-negative ``int`` values.  Text and
+JSON are written from exponent vectors, by :func:`vector_to_str` and
+:func:`~borelstab.jsonio.vector_to_obj`.  Ideal arithmetic never
+multiplies or divides ``Monomial`` values: every kernel reads and builds
+the exponent vectors of a :class:`MonomialIdeal`, whose ``in`` is the
+membership test.  Each ideal checks its generators in bulk, a few C-level
+passes over the whole list, and falls back to a check of one generator at
+a time only to name the first bad one.
 
 ``Monomial.exponent_vector`` and ``MonomialIdeal.generator_vectors`` have
 no caller in the package; they stay because the benchmark under ``bench/``
@@ -166,6 +169,9 @@ def _checked_vector(ground: GroundSet, vec) -> tuple[int, ...]:
     vec = tuple(vec)
     if len(vec) != len(ground.indices):
         raise ValueError(f"{vec} does not match the ground set {ground.indices}")
+    for e in vec:
+        if type(e) is not int:
+            raise ValueError(f"exponent {e!r} is not an int")
     if min(vec) < 0:
         raise ValueError(f"negative exponent in {vec}")
     return vec
@@ -176,9 +182,9 @@ class Monomial:
     """A monomial, stored as its exponent vector aligned with the ground set.
 
     The positional constructor takes that vector; its length must be the
-    size of the ground set and its entries non-negative.  The unit monomial
-    is the zero vector.  Exponents are arbitrary-size Python integers, so
-    overflow cannot occur at any scale.
+    size of the ground set and its entries non-negative ``int`` values.
+    The unit monomial is the zero vector.  Exponents are arbitrary-size
+    Python integers, so overflow cannot occur at any scale.
     """
 
     ground: GroundSet
@@ -226,9 +232,7 @@ class Monomial:
         return max(self.vector) <= 1
 
     def __str__(self) -> str:
-        if self.is_unit:
-            return "1"
-        return "".join(f"x_{i}^{e}" if e > 1 else f"x_{i}" for i, e in self.exps)
+        return vector_to_str(self.ground.indices, self.vector)
 
 
 @_value
@@ -263,9 +267,13 @@ class SquarefreeMonomial:
     def max_index(self) -> int:
         return self.indices[-1]
 
-    def power(self, k: int) -> Monomial:
+    def power_vector(self, k: int) -> tuple[int, ...]:
+        """The exponent vector of ``u^k``: ``k`` on the support, 0 elsewhere."""
         support = set(self.indices)
-        return Monomial(self.ground, tuple(k if i in support else 0 for i in self.ground))
+        return tuple(k if i in support else 0 for i in self.ground.indices)
+
+    def power(self, k: int) -> Monomial:
+        return Monomial(self.ground, self.power_vector(k))
 
     def __str__(self) -> str:
         return "".join(f"x_{i}" for i in self.indices)
@@ -276,9 +284,10 @@ class MonomialIdeal:
     """A monomial ideal, stored as the exponent vectors of its minimal generators.
 
     ``vectors`` is kept in decreasing lex order and is what every kernel
-    reads; ``generators`` is a read-only :class:`Monomial` view, built on
-    first use.  The constructor takes each generator as a ``Monomial`` over
-    ``ground`` or as a vector of the right length with no negative entry.
+    reads; ``generators`` is a read-only :class:`Monomial` view for
+    callers, built on first use, which nothing in the package reads.  The
+    constructor takes each generator as a ``Monomial`` over ``ground`` or
+    as a vector of the right length with no negative entry.
     The zero ideal has no generators, the unit ideal the zero vector.
 
     Every ideal makes one pass, :func:`_ideal_vectors`: the generators are
@@ -326,7 +335,8 @@ class MonomialIdeal:
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        labels = self.ground.indices
+        return "(" + ", ".join(vector_to_str(labels, v) for v in self.vectors) + ")"
 
 
 class _Unreduced(list):
@@ -460,7 +470,17 @@ def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
 # Monomials are written as comma-separated ``index^exponent`` pairs with the
 # exponent omitted when it is 1, e.g. ``1^2,3,5^4`` for x_1^2 x_3 x_5^4.
 # Squarefree monomials may be bare index lists such as ``1,3,4,5``.  The unit
-# monomial is the empty string.
+# monomial is the empty string.  Output is the product form, written from
+# an exponent vector over its ground labels, e.g. ``x_1^2x_3x_5^4``, and
+# ``1`` for the unit monomial.
+
+
+def vector_to_str(labels, vector) -> str:
+    """The product form of ``vector`` over the ground ``labels``, ``1`` for
+    the zero vector: the text counterpart of
+    :func:`~borelstab.jsonio.vector_to_obj`."""
+    terms = (f"x_{i}^{e}" if e > 1 else f"x_{i}" for i, e in zip(labels, vector) if e)
+    return "".join(terms) or "1"
 
 
 def parse_monomial(text: str, ground: GroundSet) -> Monomial:

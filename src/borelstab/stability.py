@@ -27,9 +27,12 @@ the whole ring and :func:`~borelstab.localization.localize_closed_form`
 returns None for ``u_A``: its index is inf, so it is never a member.
 
 :func:`lambda_value_witness` and :func:`lambda_of_prime` have no caller in
-the package.  The first builds a generator for each index value, which the
-tests check against the oracle; the second is traced by the benchmark under
-``bench/``, and the tests use it as the index ``lambda_A`` of one subset.
+the package.  The first stays public as the paper's construction of a
+generator for each index value, which the tests check against the oracle;
+the second is traced by the benchmark under ``bench/``, and the tests use
+it as the index ``lambda_A`` of one subset.  The cover positions ``l`` of
+a subset, which the paper's conditions read, live with the tests; the
+combinatorial route computes them for the head of ``A`` alone.
 """
 
 from __future__ import annotations
@@ -142,16 +145,6 @@ def lambda_value_witness(d: int, i: int) -> SquarefreeMonomial:
 # --- combinatorics of a subset against the generator -----------------------
 
 
-def cover_positions(A: VariableSubset, u: SquarefreeMonomial) -> tuple[int | None, ...]:
-    """For each element of ``A`` (in order), the 1-based position of the
-    first generator index that is at least it; None when none is."""
-    out: list[int | None] = []
-    for k in A.members:
-        pos = bisect_right(u.indices, k - 1)
-        out.append(pos + 1 if pos < len(u.indices) else None)
-    return tuple(out)
-
-
 def _localizes_to_unit(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     """Whether ``u_A`` is the unit ideal, by counting alone: for every
     ``t``, at least ``t`` elements of ``A`` are at most the ``t``-th support
@@ -174,8 +167,9 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     elements below that variable; the rest of ``A`` is the run capping the
     ground set) from the truncated generator must preserve that top index,
     i.e. ``l(head-j) < g - j`` for ``j = 0 .. head-1``, where ``g`` counts
-    the support indices up to the top and ``l`` is :func:`cover_positions`,
-    computed for the head alone.
+    the support indices up to the top and ``l(s)``, the cover position of
+    the ``s``-th element of ``A``, is the 1-based position of the first
+    support index at least that element.
     """
     if _localizes_to_unit(u, A):
         return False
@@ -269,7 +263,6 @@ __all__ = [
     "INFINITE",
     "IntervalDecomposition",
     "StableSetEntry",
-    "cover_positions",
     "ever_associated",
     "interval_decomposition",
     "lambda_max_ideal",

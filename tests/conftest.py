@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from operator import add
+from bisect import bisect_right
+from operator import add, le
 
 import pytest
 
@@ -26,7 +27,6 @@ from borelstab import (
     localize_closed_form,
     minimalize,
 )
-from borelstab.borel import borel_moves
 from borelstab.quotients import _colon_sets
 
 
@@ -107,6 +107,42 @@ def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:
 def stable_membership_direct(u: SquarefreeMonomial, A: VariableSubset) -> bool:
     """Membership of ``P_A`` in the stable set: its index is finite."""
     return lambda_of_prime(u, A) != INFINITE
+
+
+def cover_positions(A: VariableSubset, u: SquarefreeMonomial) -> tuple[int | None, ...]:
+    """The paper's ``l``: for each element of ``A`` (in order), the 1-based
+    position of the first support index of ``u`` that is at least it;
+    None when none is."""
+    out: list[int | None] = []
+    for k in A.members:
+        pos = bisect_right(u.indices, k - 1)
+        out.append(pos + 1 if pos < len(u.indices) else None)
+    return tuple(out)
+
+
+def borel_moves(vec: tuple[int, ...], cap: int):
+    """Yield every legal exchange x_i * (vec / x_j), i < j, below the cap."""
+    for j, ej in enumerate(vec):
+        if ej < 1:
+            continue
+        for i in range(j):
+            if vec[i] < cap:
+                moved = list(vec)
+                moved[i] += 1
+                moved[j] -= 1
+                yield tuple(moved)
+
+
+def is_strongly_stable(J: MonomialIdeal, cap: int) -> bool:
+    """The definitional check of cap-strong stability: no exponent above
+    the cap, and every exchange of every generator lands in ``J``."""
+    for g in J.vectors:
+        if any(e > cap for e in g):
+            return False
+        for moved in borel_moves(g, cap):
+            if not any(all(map(le, h, moved)) for h in J.vectors):
+                return False
+    return True
 
 
 def closure_by_moves(w: Monomial, cap: int) -> MonomialIdeal:

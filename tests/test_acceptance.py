@@ -23,7 +23,6 @@ from borelstab import (
     ass_profile,
     associated_primes,
     colon,
-    cover_positions,
     expand_squarefree,
     ideal_power,
     is_power_generator,
@@ -48,6 +47,7 @@ from conftest import (
     all_subsets,
     assert_localizations_compose,
     closure_by_moves,
+    cover_positions,
     linear_quotient_set,
     max_preserved,
     power_by_all_products,

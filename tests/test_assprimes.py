@@ -153,6 +153,12 @@ class TestAssociatedPrimes:
     def test_principal_prime(self, g3):
         assert list(associated_primes(ideal(mono(g3, x1=1)))) == [(1,)]
 
+    def test_zero_and_unit_rejected(self, g3):
+        message = "^associated primes need a proper nonzero ideal$"
+        for J in (minimalize([], ground=g3), ideal(Monomial.unit(g3))):
+            with pytest.raises(ValueError, match=message):
+                associated_primes(J)
+
     def test_witness_soundness_across_small_ideals(self):
         for n in (2, 3):
             for u in all_squarefree(n):
@@ -221,6 +227,10 @@ class TestAssProfile:
         chain = [set(profile.primes_at(k)) for k in (1, 2, 3)]
         assert chain[0] < chain[1] < chain[2]
         assert profile.stable_from is None  # growth up to the scanned edge
+
+    def test_kmax_below_one_refused(self):
+        with pytest.raises(ValueError, match="^kmax must be at least 1$"):
+            ass_profile(sf(GroundSet.contiguous(3), 2, 3), kmax=0)
 
     def test_stable_immediately(self):
         g1 = GroundSet.contiguous(1)

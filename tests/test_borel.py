@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from borelstab import (
     GroundSet,
     Monomial,
+    MonomialIdeal,
     NotPrincipalError,
     borel_closure,
     expand_squarefree,
     extract_borel_generator,
     ideal_power,
     is_power_generator,
-    is_strongly_stable,
     power_generators,
 )
 from borelstab.borel import _dominating_vectors
-from conftest import all_squarefree, closure_by_moves, ideal, mono, sf
+from conftest import all_squarefree, closure_by_moves, ideal, is_strongly_stable, mono, sf
 
 
 class TestExpandSquarefree:
@@ -134,6 +134,10 @@ class TestPowerMembership:
         # x_2 x_3 lacks weight on the first variable for u = x_1 x_3
         assert not is_power_generator(mono(g3, x2=1, x3=1), sf(g3, 1, 3), 1)
 
+    def test_another_ground_set_refused(self, g3, g4):
+        with pytest.raises(ValueError, match="^mismatched ground sets$"):
+            is_power_generator(mono(g4, x1=1, x2=1), sf(g3, 2, 3), 1)
+
     def test_cap_and_degree_errors(self, g3):
         u = sf(g3, 1, 3)
         with pytest.raises(ValueError):
@@ -226,6 +230,15 @@ class TestExtractBorelGenerator:
         J = ideal(mono(g4, x1=1, x2=1), mono(g4, x3=1, x4=1))
         with pytest.raises(NotPrincipalError):
             extract_borel_generator(J, 1)
+
+    def test_zero_and_unit_refused(self, g3):
+        for J in (MonomialIdeal(g3, ()), ideal(Monomial.unit(g3))):
+            with pytest.raises(ValueError, match="^zero and unit ideals have no Borel generator$"):
+                extract_borel_generator(J, 1)
+
+    def test_over_its_cap(self, g3):
+        with pytest.raises(NotPrincipalError, match="^exponent above cap 1$"):
+            extract_borel_generator(ideal(mono(g3, x1=2)), 1)
 
     def test_mixed_degrees_rejected(self, g3):
         J = ideal(mono(g3, x1=1), mono(g3, x2=2))

@@ -19,8 +19,10 @@ DATA = Path(__file__).parent / "data"
 # captured before monomials were stored as exponent vectors; JSON output of
 # stable-set, ass, persist, validate, lambda and ever-associated, which pins
 # every jsonio encoder byte for byte; table output of those six verbs and of
-# the table alias; and error paths, each with its exit code and stderr
-# (``exit`` and ``stderr`` default to 0 and "").
+# the table alias; error paths, each with its exit code and stderr
+# (``exit`` and ``stderr`` default to 0 and ""); and table output of
+# power, colon-profile and expand over ``--vars`` labels that are not
+# 1..n, with exponents above 1.
 CLI_GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

@@ -14,19 +14,21 @@ SRC = str(Path(borelstab.__file__).resolve().parents[1])
 
 # The names the package exported when it still imported every module, less
 # ``LocalizedGenerator``: a localized generator is a ``SquarefreeMonomial``;
-# and less ``IrreducibleComponent``: a component is its exponent vector.
+# less ``IrreducibleComponent``: a component is its exponent vector; and
+# less ``is_strongly_stable`` and ``cover_positions``: referees with no
+# caller in the package, which live in ``tests/conftest.py``.
 EXPORTS = [
     "AssProfile", "CrossValidationError", "CrossValidationReport",
     "PersistenceReport", "ResourceLimitError", "ass_profile", "associated_primes",
     "cross_validate", "irreducible_decomposition", "m_in_ass", "persistence_scan",
     "NotPrincipalError", "borel_closure", "expand_squarefree", "extract_borel_generator",
-    "is_power_generator", "is_strongly_stable", "power_generators", "VariableSubset",
+    "is_power_generator", "power_generators", "VariableSubset",
     "localize_by_saturation", "localize_closed_form", "localized_expansion",
     "parse_subset", "GroundSet", "GroundSetMismatch", "Monomial", "MonomialIdeal",
     "SquarefreeMonomial", "colon", "ideal_power", "minimalize", "parse_monomial",
     "parse_squarefree", "saturate", "QuotientProfile", "depth_zero_witness",
     "quotient_profile", "INFINITE", "IntervalDecomposition", "StableSetEntry",
-    "cover_positions", "ever_associated", "interval_decomposition", "lambda_max_ideal",
+    "ever_associated", "interval_decomposition", "lambda_max_ideal",
     "lambda_of_prime", "lambda_value_witness", "stable_membership_combinatorial",
     "stable_set_enumerate",
 ]  # fmt: skip

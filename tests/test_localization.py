@@ -129,6 +129,14 @@ class TestSaturationRoute:
             localize_by_saturation(J, VariableSubset(g3, (1, 2, 3)))
 
 
+def test_subset_over_another_ground_set_refused(g3, g4):
+    u, A = sf(g3, 2, 3), VariableSubset(g4, (1,))
+    with pytest.raises(ValueError, match="^subset over a different ground set$"):
+        localize_closed_form(u, A)
+    with pytest.raises(ValueError, match="^subset over a different ground set$"):
+        localize_by_saturation(expand_squarefree(u), A)
+
+
 def test_closed_form_equals_saturation_small():
     # the acceptance suite runs n <= 6; keep a quick n <= 4 copy here
     for n in range(1, 5):

@@ -1,6 +1,7 @@
 """Monomial and ideal arithmetic: examples frozen against hand computation
 and an enumeration-based colon oracle, plus the structural invariants."""
 
+import io
 import itertools
 import random
 import re
@@ -13,14 +14,20 @@ from borelstab import (
     Monomial,
     MonomialIdeal,
     SquarefreeMonomial,
+    ass_profile,
     colon,
+    cross_validate,
     expand_squarefree,
     ideal_power,
     minimalize,
     parse_monomial,
     parse_squarefree,
+    persistence_scan,
+    power_generators,
     saturate,
 )
+from borelstab.cli import run
+from borelstab.monomials import vector_to_str
 from conftest import (
     all_squarefree,
     brute_colon_members,
@@ -41,6 +48,10 @@ def not_an_int(label) -> str:
     return f"^variable label {re.escape(repr(label))} is not an int$"
 
 
+def exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 class TestGroundSet:
     def test_contiguous(self):
         assert GroundSet.contiguous(3).indices == (1, 2, 3)
@@ -51,6 +62,15 @@ class TestGroundSet:
         assert not g.is_contiguous
         assert 3 in g and 4 not in g
         assert g.position(5) == 2
+        assert (str(g), str(GroundSet.contiguous(3))) == ("vars=2,3,5", "n=3")
+
+    def test_contiguous_needs_a_variable(self):
+        with pytest.raises(ValueError, match=exactly("need at least one variable")):
+            GroundSet.contiguous(0)
+
+    def test_position_of_an_outside_label(self):
+        with pytest.raises(ValueError, match=exactly("label 4 not in ground set (2, 3, 5)")):
+            GroundSet((2, 3, 5)).position(4)
 
     @pytest.mark.parametrize("bad", [(), (0, 1), (2, 2), (3, 1)])
     def test_rejects_bad_labels(self, bad):
@@ -68,6 +88,23 @@ class TestSquarefreeMonomial:
     def test_refuses_a_label_that_is_not_an_int(self, g3, label):
         with pytest.raises(ValueError, match=not_an_int(label)):
             SquarefreeMonomial(g3, (label, 3))
+
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ((), "squarefree monomial needs at least one variable"),
+            ((3, 2), "support must be strictly increasing: (3, 2)"),
+            ((9,), "x_9 not in ground set (1, 2, 3)"),
+        ],
+        ids=repr,
+    )
+    def test_refuses_a_bad_support(self, g3, support, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            SquarefreeMonomial(g3, support)
+
+    def test_power_vector(self):
+        u = sf(GroundSet((2, 3, 5, 7)), 3, 7)
+        assert u.power_vector(2) == (0, 2, 0, 2) == u.power(2).vector
 
     def test_str_builds_no_monomial(self, g5, monkeypatch):
         u = sf(g5, 1, 3, 5)
@@ -95,6 +132,19 @@ class TestMonomialBasics:
         g = GroundSet((2, 4))
         with pytest.raises(ValueError):
             Monomial.make(g, {3: 1})
+
+    # accepted, 0.5 printed as x_1 with degree 1.5, True counted as 1 and
+    # 2.0 printed as x_1^2.0
+    @pytest.mark.parametrize("exponent", [0.5, True, 2.0], ids=repr)
+    def test_refuses_an_exponent_that_is_not_an_int(self, exponent):
+        with pytest.raises(ValueError, match=exactly(f"exponent {exponent!r} is not an int")):
+            Monomial(GroundSet.contiguous(2), (exponent, 1))
+
+    def test_ideal_fallback_names_an_exponent_that_is_not_an_int(self):
+        # the negative entry fails the bulk check, so each generator is
+        # checked in order and the first bad one is named
+        with pytest.raises(ValueError, match=exactly("exponent 0.5 is not an int")):
+            MonomialIdeal(GroundSet.contiguous(2), [(0.5, 1), (1, -1)])
 
 
 class TestDivides:
@@ -138,9 +188,17 @@ class TestMinimalize:
 
     def test_zero_and_unit(self, g3):
         zero = minimalize([], ground=g3)
-        assert zero.is_zero
+        assert zero.is_zero and str(zero) == "(0)"
         one = minimalize([Monomial.unit(g3), mono(g3, x1=1)])
-        assert one.is_unit
+        assert one.is_unit and str(one) == "(1)"
+
+    def test_refusals(self, g3, g4):
+        message = "empty generating set needs an explicit ground set"
+        with pytest.raises(ValueError, match=exactly(message)):
+            minimalize([])
+        message = "generators over different ground sets"
+        with pytest.raises(GroundSetMismatch, match=exactly(message)):
+            minimalize([mono(g3, x1=1), mono(g4, x2=1)])
 
     def test_constructor_rejects_nonminimal(self, g3):
         for gens in [
@@ -155,6 +213,11 @@ class TestColon:
     def test_trivial(self, g3):
         J = ideal(mono(g3, x1=1, x2=1))
         assert colon(J, mono(g3, x2=1)) == ideal(mono(g3, x1=1))
+
+    def test_divisor_over_another_ground_set(self, g3, g4):
+        message = "colon divisor over a different ground set"
+        with pytest.raises(GroundSetMismatch, match=exactly(message)):
+            colon(ideal(mono(g3, x1=1)), mono(g4, x1=1))
 
     def test_derived_against_enumeration(self, g3):
         cases = [
@@ -180,6 +243,11 @@ class TestSaturate:
     def test_one_step(self, g3):
         J = ideal(mono(g3, x1=1, x2=1))
         assert saturate(J, mono(g3, x2=1)) == ideal(mono(g3, x1=1))
+
+    def test_divisor_over_another_ground_set(self, g3, g4):
+        message = "saturating monomial over a different ground set"
+        with pytest.raises(GroundSetMismatch, match=exactly(message)):
+            saturate(ideal(mono(g3, x1=1)), mono(g4, x1=1))
 
     def test_worked_value(self, g5):
         J = expand_squarefree(sf(g5, 1, 3, 4, 5))
@@ -306,6 +374,11 @@ class TestTextFormat:
         u = parse_squarefree("1,3,4,5", g5)
         assert u.indices == (1, 3, 4, 5)
 
+    def test_vector_text_reads_labels(self):
+        # labels, not positions: the vector (2, 0, 1, 0) over 2, 3, 5, 7
+        assert vector_to_str((2, 3, 5, 7), (2, 0, 1, 0)) == "x_2^2x_5"
+        assert vector_to_str((2, 3), (0, 0)) == "1"
+
     def test_malformed(self, g5):
         for bad in ["1^", "x1", "1,,2", "1^0"]:
             with pytest.raises(ValueError):
@@ -327,3 +400,52 @@ def test_expansion_count_matches_direct_enumeration():
             )
             assert len(expand_squarefree(u).generators) == count
 
+
+
+def count_monomials(monkeypatch) -> list:
+    """The vectors of the ``Monomial`` values built from now on."""
+    built = []
+    real = Monomial.__post_init__
+
+    def counting(self):
+        real(self)
+        built.append(self.vector)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    return built
+
+
+class TestMonomialOnlyAtTheEdge:
+    # a Monomial is built only where one crosses the package's edge: a CLI
+    # request parses --u into one, and writes its text and JSON from vectors
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "expand --u 2,3^2 --n 4 --k 2",
+            "power --u 3,7 --vars 2,3,5,7 --k 2",
+            "colon-profile --u 2,4 --n 4 --k 2",
+            "localize --u 1,3,4,5 --n 5 --A 1,3",
+        ],
+    )
+    def test_one_per_request(self, monkeypatch, argv, fmt):
+        built = count_monomials(monkeypatch)
+        assert run([*argv.split(), "--format", fmt], out=io.StringIO()) == 0
+        assert len(built) == 1
+
+    def test_none_in_the_walk(self, monkeypatch):
+        built = count_monomials(monkeypatch)
+        for u in all_squarefree(4):
+            expand_squarefree(u)
+            for k in (1, 2, 3):
+                power_generators(u, k)
+        assert built == []
+
+    def test_none_in_the_oracle_scans(self, monkeypatch):
+        built = count_monomials(monkeypatch)
+        u = sf(GroundSet.contiguous(5), 2, 4, 5)
+        ass_profile(u, kmax=3)
+        persistence_scan(u, kmax=3)
+        cross_validate(u, kmax=3)
+        assert built == []

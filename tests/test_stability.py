@@ -7,7 +7,6 @@ import pytest
 from borelstab import (
     GroundSet,
     VariableSubset,
-    cover_positions,
     ever_associated,
     expand_squarefree,
     ideal_power,
@@ -25,6 +24,7 @@ from conftest import (
     WORKED_TABLE,
     all_squarefree,
     all_subsets,
+    cover_positions,
     max_preserved,
     sf,
     stable_membership_direct,
