@@ -42,9 +42,10 @@ the table ``stable-set`` prints, and walks no subsets of its own.  Each
 row lists the verdicts ``P_A in Ass(I^k)`` once, and one helper,
 :func:`_compare`, holds that list against each route's, counts the
 comparisons and fails hard with a minimal reproducer at the first
-disagreement.  Within one call the oracle runs once per distinct localized
-ideal, through a dict that does not outlive the call (see
-:func:`cross_validate`).
+disagreement.  Within one call the oracle runs once per distinct projection
+of the generators of ``I`` onto ``P_A``, through a dict that does not
+outlive the call (see :func:`cross_validate`); distinct projections may
+still reduce to the same localized ideal.
 
 Complexity is exponential by nature; the entry points refuse an ideal
 whose box has more cells than a configurable ceiling (default 10^7)

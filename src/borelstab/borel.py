@@ -54,7 +54,9 @@ from operator import ge
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    ResourceLimitError,
     SquarefreeMonomial,
+    _Unreduced,
 )
 
 
@@ -66,12 +68,29 @@ def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
     return any(e > cap for e in vec if e)
 
 
+# the most prefix sums the walk's table may hold at one position; the same
+# value as the oracle's default box-cell ceiling
+_SUM_CEILING = 10**7
+
+
 def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     """The cap closure of ``w``, whose entries must not exceed ``cap``, in
-    decreasing lex order, from the suffix table of the module docstring."""
+    decreasing lex order, from the suffix table of the module docstring.
+
+    Before the table is built, the largest number of prefix sums it holds
+    at one position is counted.  Every row is reachable and non-empty, so
+    that number bounds the generator count from below, and a walk whose
+    table would hold more than ``_SUM_CEILING`` sums is refused with
+    :class:`~borelstab.monomials.ResourceLimitError`."""
     bounds = list(accumulate(w))
     degree = bounds[-1]
     end = bisect_left(bounds, degree) + 1
+    widest = max(min(degree, cap * i) - (bounds[i - 1] if i else 0) + 1 for i in range(end))
+    if widest > _SUM_CEILING:
+        raise ResourceLimitError(
+            f"the Borel walk needs {widest} prefix sums at one position, so at least "
+            f"{widest} generators, above the ceiling of {_SUM_CEILING}"
+        )
     tails = {degree: [(0,) * (len(w) - end)]}
     for i in range(end - 1, -1, -1):
         floor = bounds[i - 1] if i else 0
@@ -93,7 +112,7 @@ def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
         raise ValueError("cap must be positive")
     if _over_cap(w.vector, cap):
         raise ValueError(f"exponent above cap {cap} in {w}")
-    return MonomialIdeal(w.ground, _dominating_vectors(w.vector, cap))
+    return MonomialIdeal(w.ground, _Unreduced(_dominating_vectors(w.vector, cap)))
 
 
 def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
@@ -101,7 +120,7 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     Borel generator ``u = x_{i_1} ... x_{i_d}``, its cap-1 closure: every
     ``x_{j_1} ... x_{j_d}`` with ``j_1 < ... < j_d`` in the ground set and
     ``j_t <= i_t`` for every ``t``."""
-    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(1), 1))
+    return MonomialIdeal(u.ground, _Unreduced(_dominating_vectors(u.power_vector(1), 1)))
 
 
 def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
@@ -123,7 +142,7 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
     ``ideal_power(expand_squarefree(u), k)``."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(k), k))
+    return MonomialIdeal(u.ground, _Unreduced(_dominating_vectors(u.power_vector(k), k)))
 
 
 def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:

@@ -16,9 +16,9 @@ JSON are written from exponent vectors, by :func:`vector_to_str` and
 :func:`~borelstab.jsonio.vector_to_obj`.  Ideal arithmetic never
 multiplies or divides ``Monomial`` values: every kernel reads and builds
 the exponent vectors of a :class:`MonomialIdeal`, whose ``in`` is the
-membership test.  Each ideal checks its generators in bulk, a few C-level
-passes over the whole list, and falls back to a check of one generator at
-a time only to name the first bad one.
+membership test.  An ideal has two doors: a list the package built
+(marked :class:`_Unreduced`) takes only the minimality pass, and any other
+list is checked one generator at a time by ``Monomial``'s own rule.
 
 ``Monomial.exponent_vector`` and ``MonomialIdeal.generator_vectors`` have
 no caller in the package; they stay because the benchmark under ``bench/``
@@ -287,17 +287,20 @@ class MonomialIdeal:
     reads; ``generators`` is a read-only :class:`Monomial` view for
     callers, built on first use, which nothing in the package reads.  The
     constructor takes each generator as a ``Monomial`` over ``ground`` or
-    as a vector of the right length with no negative entry.
+    as a vector that ``Monomial`` would accept: the right length and
+    non-negative ``int`` entries.
     The zero ideal has no generators, the unit ideal the zero vector.
 
-    Every ideal makes one pass, :func:`_ideal_vectors`: the generators are
-    checked in bulk (types, ground sets, lengths and the least entry, each
-    over the whole list) and :func:`_minimal_vectors` runs once.  There is
-    no unchecked path, for kernel vectors either.  A caller's own list
-    must already be minimal, and a repeated generator, or one another
-    divides, is rejected.  The kernels (:func:`minimalize`, :func:`colon`,
-    :func:`saturate`) hand their raw vectors to the same pass as an
-    :class:`_Unreduced` list, whose redundant vectors it drops.
+    Every ideal makes one pass, :func:`_ideal_vectors`, which runs
+    :func:`_minimal_vectors` once, so ``vectors`` is minimal and in
+    decreasing lex order whatever list came in.  A caller's list is
+    checked generator by generator and must already be minimal: a
+    repeated generator, or one another divides, is rejected.  The
+    package's kernels (the Borel walk, :func:`ideal_power`,
+    :func:`minimalize`, :func:`colon`, :func:`saturate` and the
+    saturation route to a localization) hand in their raw vectors as an
+    :class:`_Unreduced` list, which skips the entry checks and whose
+    redundant vectors the pass drops.
 
     Plain tuple order on the vectors is lex order with x_1 > x_2 > ...:
     the first position where two vectors differ decides, the larger
@@ -340,43 +343,33 @@ class MonomialIdeal:
 
 
 class _Unreduced(list):
-    """Raw generator vectors from a kernel, which may repeat or divide one
-    another: :class:`MonomialIdeal` drops the redundant ones instead of
-    refusing the list."""
+    """Exponent vectors built by the package, which may repeat or divide
+    one another: :class:`MonomialIdeal` trusts their entries, as the
+    kernel that built them already checked or derived them, and drops
+    the redundant ones instead of refusing the list."""
 
 
 def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
-    """The one pass of every :class:`MonomialIdeal`: check the generators,
-    then run :func:`_minimal_vectors` once.  Only an :class:`_Unreduced`
-    list may shrink; any other list must already be minimal.
-
-    The check costs a few passes over the whole list at C level, not
-    Python calls per generator: the set of generator types, then, only
-    when some generator is not a tuple (a ``Monomial`` or a list), its
-    ground set and its vector; the set of lengths; and the least entry.
-    Only when one of those tests fails is each generator checked in
-    order, so that the first bad one names the error.
+    """The one pass of every :class:`MonomialIdeal`, with two doors.  An
+    :class:`_Unreduced` list goes straight to :func:`_minimal_vectors`.
+    Any other list is a caller's: each generator, in order, is checked by
+    ``Monomial``'s rule (a ``Monomial`` by its ground set, a vector by
+    :func:`_checked_vector`), so the first bad one names the error, and
+    the list is refused if the minimality pass drops a generator.
     """
-    if not isinstance(gens, (list, tuple)):
-        gens = list(gens)
-    vecs = gens
-    foreign = False
-    if set(map(type, gens)) - {tuple}:  # a Monomial, a list, ...
-        foreign = any(type(g) is Monomial and g.ground != ground for g in gens)
-        vecs = [g.vector if type(g) is Monomial else tuple(g) for g in gens]
-    if (
-        foreign
-        or set(map(len, vecs)) - {len(ground.indices)}
-        or min(itertools.chain.from_iterable(vecs), default=0) < 0
-    ):
-        for g in gens:
-            if type(g) is not Monomial:
-                _checked_vector(ground, g)
-            elif g.ground != ground:
-                raise GroundSetMismatch("generator over a different ground set")
+    if isinstance(gens, _Unreduced):
+        return tuple(_minimal_vectors(gens))
+    vecs = []
+    for g in gens:
+        if type(g) is not Monomial:
+            vecs.append(_checked_vector(ground, g))
+        elif g.ground != ground:
+            raise GroundSetMismatch("generator over a different ground set")
+        else:
+            vecs.append(g.vector)
     kept = _minimal_vectors(vecs)
     redundant = len(vecs) - len(kept)
-    if redundant and not isinstance(gens, _Unreduced):
+    if redundant:
         raise ValueError(
             f"non-minimal generating set: {redundant} of {len(vecs)} generators redundant"
         )
@@ -416,7 +409,7 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
         ground = gens[0].ground
     if any(g.ground != ground for g in gens):
         raise GroundSetMismatch("generators over different ground sets")
-    return MonomialIdeal(ground, _Unreduced(gens))
+    return MonomialIdeal(ground, _Unreduced(g.vector for g in gens))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -462,7 +455,7 @@ def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     ``J.vectors``, in a :class:`MonomialIdeal` over the ground set of ``J``
     (``J`` itself when ``k = 1``)."""
     last = _powers(J.vectors, k)[-1]
-    return J if k == 1 else MonomialIdeal(J.ground, last)
+    return J if k == 1 else MonomialIdeal(J.ground, _Unreduced(last))
 
 
 # --- text format ----------------------------------------------------------

@@ -19,7 +19,9 @@ from borelstab import (
     is_power_generator,
     power_generators,
 )
+from borelstab import borel
 from borelstab.borel import _dominating_vectors
+from borelstab.monomials import ResourceLimitError
 from conftest import all_squarefree, closure_by_moves, ideal, is_strongly_stable, mono, sf
 
 
@@ -198,6 +200,22 @@ class TestPowerGenerators:
         assert J.vectors == ((1, 1) + (0,) * 49998,)
         head = power_generators(sf(GroundSet.contiguous(3), 2, 3), 2).vectors
         assert K.vectors == tuple(v + (0,) * 49997 for v in head)
+
+    def test_huge_power_refused_before_the_walk(self, g3):
+        # (x2x3)^k over n = 3 holds k + 1 prefix sums at positions 2 and 3,
+        # so the walk of k = 10^23 would never return; the count is O(n)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            power_generators(sf(g3, 2, 3), 10**23 - 1)
+        assert time.perf_counter() - start < 1
+        assert "10000000" in str(caught.value)
+        assert f"{10**23} prefix sums" in str(caught.value)
+
+    def test_sum_ceiling_is_inclusive(self, g3, monkeypatch):
+        monkeypatch.setattr(borel, "_SUM_CEILING", 301)
+        assert len(power_generators(sf(g3, 2, 3), 300)) == 45451  # 301 sums
+        with pytest.raises(ResourceLimitError, match="302 prefix sums"):
+            power_generators(sf(g3, 2, 3), 301)
 
     def test_rejects_zero_power(self, g3):
         with pytest.raises(ValueError):

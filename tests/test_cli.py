@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,22 @@ class TestExitCodes:
     def test_domain_error_on_expand_cap_below_one(self, k):
         code, out, err = invoke(["expand", "--u", "", "--n", "3", "--k", k])
         assert (code, out) == (1, "") and "cap must be positive" in err
+
+    @pytest.mark.parametrize("verb", ["power", "colon-profile"])
+    def test_huge_power_refused_at_once(self, verb):
+        # the Borel walk would hold 10^23 prefix sums at one position
+        start = time.perf_counter()
+        code, out, err = invoke([verb, "--u", "2,3", "--n", "3", "--k", "9" * 23])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{10**23} prefix sums" in err and "ceiling of 10000000" in err
+
+    def test_large_colon_profile_answers(self):
+        # 301 prefix sums at most, far under the ceiling; the closed-pipe
+        # check of the CI workflow runs this request
+        code, out, err = invoke(["colon-profile", "--u", "2,3", "--n", "3", "--k", "300"])
+        assert (code, err) == (0, "") and out.startswith("i=1 ")
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

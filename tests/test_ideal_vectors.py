@@ -96,8 +96,8 @@ def long_vectors():
     [(gens, message) for (gens, _), message in zip(BAD_GENERATOR_LISTS, LONG_LIST_MESSAGES)],
 )
 def test_long_list_messages(long_vectors, bad, message):
-    """The bulk check of a long list names the same first bad generator as
-    a generator-by-generator check would."""
+    """A bad generator after a long valid list is named as it is in a
+    short one: the check goes one generator at a time, in order."""
     assert len(long_vectors) == 3225
     lifted = [v + type(v)((0,) * 5) for v in bad]
     with pytest.raises(ValueError) as caught:
@@ -191,6 +191,33 @@ def test_minimal_vectors_equal_pairwise_referee():
         assert all(a > b for a, b in itertools.pairwise(kept))
         seen[kind] += 1
     assert min(seen.values()) >= 100, seen
+
+
+@pytest.fixture
+def vectors_checked(monkeypatch):
+    """Counts the calls of ``Monomial``'s vector rule while the test runs."""
+    calls = []
+    real = monomials._checked_vector
+
+    def counting(ground, vec):
+        calls.append(vec)
+        return real(ground, vec)
+
+    monkeypatch.setattr(monomials, "_checked_vector", counting)
+    return calls
+
+
+def test_kernels_check_no_vector(vectors_checked):
+    # the kernels hand their vectors in as an _Unreduced list, which takes
+    # only the minimality pass; a caller's list is checked entry by entry
+    g = GroundSet.contiguous(8)
+    u = sf(g, 2, 4, 6, 8)
+    assert len(power_generators(u, 3)) == 3225
+    J = ideal_power(expand_squarefree(u), 2)
+    assert len(localize_by_saturation(J, VariableSubset(g, (1, 3)))) == 81
+    assert not vectors_checked
+    assert MonomialIdeal(g, J.vectors) == J
+    assert len(vectors_checked) == 509
 
 
 @pytest.fixture

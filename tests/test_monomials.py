@@ -134,15 +134,18 @@ class TestMonomialBasics:
             Monomial.make(g, {3: 1})
 
     # accepted, 0.5 printed as x_1 with degree 1.5, True counted as 1 and
-    # 2.0 printed as x_1^2.0
+    # 2.0 printed as x_1^2.0; a caller's ideal takes its vectors by the
+    # same rule, on its own as well as in a list with another bad entry
     @pytest.mark.parametrize("exponent", [0.5, True, 2.0], ids=repr)
     def test_refuses_an_exponent_that_is_not_an_int(self, exponent):
         with pytest.raises(ValueError, match=exactly(f"exponent {exponent!r} is not an int")):
             Monomial(GroundSet.contiguous(2), (exponent, 1))
+        with pytest.raises(ValueError, match=exactly(f"exponent {exponent!r} is not an int")):
+            MonomialIdeal(GroundSet.contiguous(2), [(exponent, 1)])
 
     def test_ideal_fallback_names_an_exponent_that_is_not_an_int(self):
-        # the negative entry fails the bulk check, so each generator is
-        # checked in order and the first bad one is named
+        # a caller's list is checked one generator at a time, in order, so
+        # the first bad generator is named, not the later negative entry
         with pytest.raises(ValueError, match=exactly("exponent 0.5 is not an int")):
             MonomialIdeal(GroundSet.contiguous(2), [(0.5, 1), (1, -1)])
 

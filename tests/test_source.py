@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import borelstab
@@ -59,6 +60,22 @@ def test_oracle_builds_no_ideal():
     builders = {"MonomialIdeal", "GroundSet", "_Unreduced"}
     found = {(name, f) for name in builders for f in callers(name) if f.startswith("assprimes.")}
     assert not found, found
+
+
+def test_package_ideals_enter_as_unreduced():
+    # every ideal the package builds passes its vectors as an _Unreduced
+    # list, the door that takes only the minimality pass; the entry rule of
+    # a caller's list is Monomial's own, in one function
+    calls = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "MonomialIdeal":
+                calls.append((path.name, node.lineno, ast.unparse(node.args[1])))
+    assert calls
+    unmarked = [c for c in calls if not c[2].startswith("_Unreduced(")]
+    assert not unmarked, unmarked
+    assert callers("_checked_vector") == {"monomials.__post_init__", "monomials._ideal_vectors"}
+    assert "_checked_vector" in inspect.getsource(Monomial.__post_init__)
 
 
 def test_one_product_route():
