@@ -56,7 +56,7 @@ from .monomials import (
     MonomialIdeal,
     ResourceLimitError,
     SquarefreeMonomial,
-    _Unreduced,
+    _Minimal,
 )
 
 
@@ -73,9 +73,10 @@ def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
 _SUM_CEILING = 10**7
 
 
-def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
+def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
     """The cap closure of ``w``, whose entries must not exceed ``cap``, in
-    decreasing lex order, from the suffix table of the module docstring.
+    decreasing lex order, from the suffix table of the module docstring:
+    each vector once and all of one degree, so a minimal list.
 
     Before the table is built, the largest number of prefix sums it holds
     at one position is counted.  Every row is reachable and non-empty, so
@@ -102,7 +103,7 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
             ]
             for s in range(floor, min(degree, cap * i) + 1)
         }
-    return tails[0]
+    return _Minimal(tails[0])
 
 
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
@@ -112,7 +113,7 @@ def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:
         raise ValueError("cap must be positive")
     if _over_cap(w.vector, cap):
         raise ValueError(f"exponent above cap {cap} in {w}")
-    return MonomialIdeal(w.ground, _Unreduced(_dominating_vectors(w.vector, cap)))
+    return MonomialIdeal(w.ground, _dominating_vectors(w.vector, cap))
 
 
 def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
@@ -120,7 +121,7 @@ def expand_squarefree(u: SquarefreeMonomial) -> MonomialIdeal:
     Borel generator ``u = x_{i_1} ... x_{i_d}``, its cap-1 closure: every
     ``x_{j_1} ... x_{j_d}`` with ``j_1 < ... < j_d`` in the ground set and
     ``j_t <= i_t`` for every ``t``."""
-    return MonomialIdeal(u.ground, _Unreduced(_dominating_vectors(u.power_vector(1), 1)))
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(1), 1))
 
 
 def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
@@ -142,7 +143,7 @@ def power_generators(u: SquarefreeMonomial, k: int) -> MonomialIdeal:
     ``ideal_power(expand_squarefree(u), k)``."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return MonomialIdeal(u.ground, _Unreduced(_dominating_vectors(u.power_vector(k), k)))
+    return MonomialIdeal(u.ground, _dominating_vectors(u.power_vector(k), k))
 
 
 def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:

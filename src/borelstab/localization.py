@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _Unreduced, _value
+from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _minimal_vectors, _value
 from .monomials import _check_labels
 
 
@@ -96,8 +96,8 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     generated by the generators of ``J`` with their ``A``-exponents set
     to zero, so re-housing it on the complement ground set is the
     projection of each generator onto the complement positions.  The
-    projections can divide one another, so the ideal's one minimality
-    pass drops the redundant ones.  An empty ``A`` gives an ideal equal to ``J``.
+    projections can divide one another, so one minimality pass drops
+    the redundant ones.  An empty ``A`` gives an ideal equal to ``J``.
     """
     if A.ambient != J.ground:
         raise ValueError("subset over a different ground set")
@@ -105,7 +105,7 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     if not kept:
         raise ValueError("localizing at every variable leaves no ambient ring")
     positions = [J.ground.position(i) for i in kept]
-    return MonomialIdeal(GroundSet(kept), _Unreduced(_projected(J.vectors, positions)))
+    return MonomialIdeal(GroundSet(kept), _minimal_vectors(_projected(J.vectors, positions)))
 
 
 def _projected(vectors, positions) -> list[tuple[int, ...]]:

@@ -16,9 +16,9 @@ JSON are written from exponent vectors, by :func:`vector_to_str` and
 :func:`~borelstab.jsonio.vector_to_obj`.  Ideal arithmetic never
 multiplies or divides ``Monomial`` values: every kernel reads and builds
 the exponent vectors of a :class:`MonomialIdeal`, whose ``in`` is the
-membership test.  An ideal has two doors: a list the package built
-(marked :class:`_Unreduced`) takes only the minimality pass, and any other
-list is checked one generator at a time by ``Monomial``'s own rule.
+membership test.  An ideal has two doors: a :class:`_Minimal` list,
+built by the package, is taken as it is, and any other list is checked
+one generator at a time by ``Monomial``'s own rule.
 
 ``Monomial.exponent_vector`` and ``MonomialIdeal.generator_vectors`` have
 no caller in the package; they stay because the benchmark under ``bench/``
@@ -291,16 +291,11 @@ class MonomialIdeal:
     non-negative ``int`` entries.
     The zero ideal has no generators, the unit ideal the zero vector.
 
-    Every ideal makes one pass, :func:`_ideal_vectors`, which runs
-    :func:`_minimal_vectors` once, so ``vectors`` is minimal and in
-    decreasing lex order whatever list came in.  A caller's list is
-    checked generator by generator and must already be minimal: a
-    repeated generator, or one another divides, is rejected.  The
-    package's kernels (the Borel walk, :func:`ideal_power`,
-    :func:`minimalize`, :func:`colon`, :func:`saturate` and the
-    saturation route to a localization) hand in their raw vectors as an
-    :class:`_Unreduced` list, which skips the entry checks and whose
-    redundant vectors the pass drops.
+    ``vectors`` is minimal and in decreasing lex order whichever door of
+    :func:`_ideal_vectors` the list came in by.  A caller's list is checked
+    generator by generator and must already be minimal: a repeated
+    generator, or one another divides, is rejected.  The package's
+    kernels hand in a :class:`_Minimal` list, which is taken as it is.
 
     Plain tuple order on the vectors is lex order with x_1 > x_2 > ...:
     the first position where two vectors differ decides, the larger
@@ -342,23 +337,23 @@ class MonomialIdeal:
         return "(" + ", ".join(vector_to_str(labels, v) for v in self.vectors) + ")"
 
 
-class _Unreduced(list):
-    """Exponent vectors built by the package, which may repeat or divide
-    one another: :class:`MonomialIdeal` trusts their entries, as the
-    kernel that built them already checked or derived them, and drops
-    the redundant ones instead of refusing the list."""
+class _Minimal(list):
+    """Distinct exponent vectors, none coordinatewise below another, in
+    decreasing lex order.  Only the one minimality rule,
+    :func:`_minimal_vectors`, and the Borel walk, minimal by its proof,
+    build one."""
 
 
 def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
-    """The one pass of every :class:`MonomialIdeal`, with two doors.  An
-    :class:`_Unreduced` list goes straight to :func:`_minimal_vectors`.
-    Any other list is a caller's: each generator, in order, is checked by
-    ``Monomial``'s rule (a ``Monomial`` by its ground set, a vector by
+    """The vectors of a :class:`MonomialIdeal`, through one of two doors.
+    A :class:`_Minimal` list is taken as it is.  Any other list is a
+    caller's: each generator, in order, is checked by ``Monomial``'s rule
+    (a ``Monomial`` by its ground set, a vector by
     :func:`_checked_vector`), so the first bad one names the error, and
     the list is refused if the minimality pass drops a generator.
     """
-    if isinstance(gens, _Unreduced):
-        return tuple(_minimal_vectors(gens))
+    if isinstance(gens, _Minimal):
+        return tuple(gens)
     vecs = []
     for g in gens:
         if type(g) is not Monomial:
@@ -376,10 +371,10 @@ def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def _minimal_vectors(vecs: list) -> list[tuple[int, ...]]:
+def _minimal_vectors(vecs) -> _Minimal:
     """The distinct vectors of ``vecs`` with no other one coordinatewise
     below them, in decreasing lex order: the package's one minimality rule,
-    which each ideal runs once, through :func:`_ideal_vectors`.
+    run on a caller's list and on any kernel's vectors but the walk's.
 
     Only a vector of strictly lower degree can lie below a different one.
     So vectors that share one degree, such as any power of an expansion,
@@ -387,13 +382,15 @@ def _minimal_vectors(vecs: list) -> list[tuple[int, ...]]:
     group is compared only with the lower-degree vectors kept.
     """
     distinct = set(vecs)
-    ordered = sorted(vecs if len(distinct) == len(vecs) else distinct, reverse=True)
+    ordered = _Minimal(vecs if len(distinct) == len(vecs) else distinct)
+    ordered.sort(reverse=True)
     if len(set(map(sum, ordered))) <= 1:
         return ordered
-    kept: list[tuple[int, ...]] = []
+    kept = _Minimal()
     for _, group in itertools.groupby(sorted(ordered, key=sum), key=sum):
         kept.extend([v for v in group if not any(all(map(le, k, v)) for k in kept)])
-    return sorted(kept, reverse=True)
+    kept.sort(reverse=True)
+    return kept
 
 
 def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
@@ -409,7 +406,7 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
         ground = gens[0].ground
     if any(g.ground != ground for g in gens):
         raise GroundSetMismatch("generators over different ground sets")
-    return MonomialIdeal(ground, _Unreduced(g.vector for g in gens))
+    return MonomialIdeal(ground, _minimal_vectors([g.vector for g in gens]))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -417,7 +414,7 @@ def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     if w.ground != J.ground:
         raise GroundSetMismatch("colon divisor over a different ground set")
     cut = [tuple(max(x - e, 0) for x, e in zip(g, w.vector)) for g in J.vectors]
-    return MonomialIdeal(J.ground, _Unreduced(cut))
+    return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
 
 def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -430,7 +427,7 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     if w.ground != J.ground:
         raise GroundSetMismatch("saturating monomial over a different ground set")
     cut = [tuple(0 if e else x for x, e in zip(g, w.vector)) for g in J.vectors]
-    return MonomialIdeal(J.ground, _Unreduced(cut))
+    return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
 
 def _powers(vectors, kmax: int) -> list:
@@ -453,9 +450,8 @@ def _powers(vectors, kmax: int) -> list:
 def ideal_power(J: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of J^k: the last list :func:`_powers` builds from
     ``J.vectors``, in a :class:`MonomialIdeal` over the ground set of ``J``
-    (``J`` itself when ``k = 1``)."""
-    last = _powers(J.vectors, k)[-1]
-    return J if k == 1 else MonomialIdeal(J.ground, _Unreduced(last))
+    (``J`` itself when ``k = 1``), so ``k - 1`` minimality passes."""
+    return J if k == 1 else MonomialIdeal(J.ground, _powers(J.vectors, k)[-1])
 
 
 # --- text format ----------------------------------------------------------

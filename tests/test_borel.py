@@ -21,7 +21,7 @@ from borelstab import (
 )
 from borelstab import borel
 from borelstab.borel import _dominating_vectors
-from borelstab.monomials import ResourceLimitError
+from borelstab.monomials import ResourceLimitError, _minimal_vectors
 from conftest import all_squarefree, closure_by_moves, ideal, is_strongly_stable, mono, sf
 
 
@@ -94,7 +94,7 @@ class TestBorelClosure:
                         w = Monomial(g, vec)
                         expected = closure_by_moves(w, cap)
                         assert borel_closure(w, cap) == expected, (g, vec, cap)
-                        # the walk's own list, before any ideal sorts it
+                        # the walk's own list, which an ideal takes as it is
                         walked = _dominating_vectors(vec, cap)
                         assert all(a > b for a, b in itertools.pairwise(walked)), (vec, cap)
                         assert walked == list(expected.vectors), (g, vec, cap)
@@ -176,8 +176,30 @@ class TestPowerGenerators:
                 for k in (1, 2, 3):
                     assert power_generators(u, k) == ideal_power(J, k)
 
+    def test_walk_is_minimal_on_the_bench_rungs(self):
+        # an ideal takes the walk's list with no minimality pass, so the
+        # list must already be strictly decreasing and minimal: every u of
+        # the powers workload's rungs (n 5-8, d 3-4, k 2-3) and its
+        # frontier x2x4x6x8 at n = 8, k = 1..3: 258,315 vectors, about 0.3 s
+        walks = [
+            (n, u, k)
+            for n in range(5, 9)
+            for d in (3, 4)
+            for k in (2, 3)
+            for u in itertools.combinations(range(1, n + 1), d)
+        ]
+        walks += [(8, (2, 4, 6, 8), k) for k in (1, 2, 3)]
+        count = 0
+        for n, u, k in walks:
+            walked = _dominating_vectors(sf(GroundSet.contiguous(n), *u).power_vector(k), k)
+            assert all(a > b for a, b in itertools.pairwise(walked)), (n, u, k)
+            assert _minimal_vectors(walked) == walked, (n, u, k)
+            count += len(walked)
+        assert count == 258315
+
     def test_wide_product_route(self):
-        # one degree: neither route may pay for a pairwise minimality check;
+        # one degree: the walk pays for no minimality pass, and the product
+        # route for a set and one sort per power, never the pairwise check;
         # about 0.21 s on a 2-core x86 VM and 0.43 s when sharing one core
         # with a busy loop (a runner at half speed), so the budget leaves
         # about 11x; over a minute with the pairwise check

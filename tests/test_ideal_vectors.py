@@ -1,6 +1,7 @@
 """``MonomialIdeal`` stores its generators' exponent vectors: the
-constructor accepts vectors, each ideal runs the minimality rule once, and
-the kernels build no ``Monomial`` per generator or per Borel move."""
+constructor accepts vectors, the Borel walk's ideals run no minimality
+pass and every other kernel's run one, and the kernels build no
+``Monomial`` per generator or per Borel move."""
 
 import itertools
 import random
@@ -22,7 +23,7 @@ from borelstab import (
     power_generators,
     saturate,
 )
-from borelstab import monomials
+from borelstab import assprimes, localization, monomials
 from borelstab.monomials import _minimal_vectors, _powers
 from conftest import mono, ref_minimal_vectors, sf
 
@@ -129,7 +130,8 @@ def test_direct_construction_rejects_other_ground():
 
 @pytest.fixture
 def minimality_passes(monkeypatch):
-    """Counts the calls of the minimality rule while the test runs."""
+    """Counts the calls of the minimality rule, in every module that
+    imports it, while the test runs."""
     calls = []
     real = monomials._minimal_vectors
 
@@ -137,31 +139,42 @@ def minimality_passes(monkeypatch):
         calls.append(1)
         return real(vecs)
 
-    monkeypatch.setattr(monomials, "_minimal_vectors", counting)
+    for module in (assprimes, localization, monomials):
+        monkeypatch.setattr(module, "_minimal_vectors", counting)
     return calls
 
 
-def test_one_minimality_pass_per_ideal(minimality_passes):
+def test_minimality_passes_per_ideal(minimality_passes):
+    # the walk's list is minimal by its proof and enters as it is; a kernel
+    # whose vectors can repeat or divide runs the rule once; a power runs
+    # it once per product step
     g = GroundSet.contiguous(6)
     u = sf(g, 2, 4, 6)
     J = expand_squarefree(u)
-    one_ideal = {
-        "power_generators": lambda: power_generators(u, 3),
-        "expand_squarefree": lambda: expand_squarefree(u),
-        "borel_closure": lambda: borel_closure(mono(g, x2=2, x5=1), 2),
-        "minimalize": lambda: minimalize(J.generators + J.generators),
-        "colon": lambda: colon(J, mono(g, x1=1, x2=1)),
-        "saturate": lambda: saturate(J, mono(g, x1=1)),
+    passes = {
+        "power_generators": (lambda: power_generators(u, 3), 0),
+        "expand_squarefree": (lambda: expand_squarefree(u), 0),
+        "borel_closure": (lambda: borel_closure(mono(g, x2=2, x5=1), 2), 0),
+        "minimalize": (lambda: minimalize(J.generators + J.generators), 1),
+        "colon": (lambda: colon(J, mono(g, x1=1, x2=1)), 1),
+        "saturate": (lambda: saturate(J, mono(g, x1=1)), 1),
+        "localize_by_saturation": (
+            lambda: localize_by_saturation(J, VariableSubset(g, (1, 3))),
+            1,
+        ),
     }
-    for name, build in one_ideal.items():
+    for name, (build, expected) in passes.items():
         minimality_passes.clear()
         assert len(build()) > 0, name
-        assert len(minimality_passes) == 1, name
+        assert len(minimality_passes) == expected, name
     for kmax in (1, 2, 4):
         minimality_passes.clear()
         chain = _powers(J.vectors, kmax)
         assert len(chain) == kmax and chain[0] is J.vectors
         assert len(minimality_passes) == kmax - 1  # the vectors of J are reused
+        minimality_passes.clear()
+        assert ideal_power(J, kmax).vectors == tuple(chain[-1])
+        assert len(minimality_passes) == kmax - 1  # the last list enters as it is
 
 
 def _one_degree_vectors(rng, n, degree, count):
@@ -208,8 +221,8 @@ def vectors_checked(monkeypatch):
 
 
 def test_kernels_check_no_vector(vectors_checked):
-    # the kernels hand their vectors in as an _Unreduced list, which takes
-    # only the minimality pass; a caller's list is checked entry by entry
+    # the kernels hand their vectors in as a _Minimal list, which is taken
+    # as it is; a caller's list is checked entry by entry
     g = GroundSet.contiguous(8)
     u = sf(g, 2, 4, 6, 8)
     assert len(power_generators(u, 3)) == 3225

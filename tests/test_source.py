@@ -57,23 +57,27 @@ def test_subsets_built_in_two_places():
 def test_oracle_builds_no_ideal():
     # the oracle's kernels read lists of exponent vectors: after the
     # expansion of u, no function in assprimes builds an ideal or a ground set
-    builders = {"MonomialIdeal", "GroundSet", "_Unreduced"}
+    builders = {"MonomialIdeal", "GroundSet", "_Minimal"}
     found = {(name, f) for name in builders for f in callers(name) if f.startswith("assprimes.")}
     assert not found, found
 
 
-def test_package_ideals_enter_as_unreduced():
-    # every ideal the package builds passes its vectors as an _Unreduced
-    # list, the door that takes only the minimality pass; the entry rule of
-    # a caller's list is Monomial's own, in one function
+def test_package_ideals_enter_as_minimal():
+    # every ideal the package builds passes a _Minimal list, the door that
+    # takes its vectors as they are: one from the minimality rule, from
+    # the Borel walk (minimal by its proof) or the last power _powers built
+    # with the rule.  Only the rule and the walk build one.  The entry rule
+    # of a caller's list is Monomial's own, in one function
     calls = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "MonomialIdeal":
                 calls.append((path.name, node.lineno, ast.unparse(node.args[1])))
     assert calls
-    unmarked = [c for c in calls if not c[2].startswith("_Unreduced(")]
+    marked = ("_minimal_vectors(", "_dominating_vectors(", "_powers(")
+    unmarked = [c for c in calls if not c[2].startswith(marked)]
     assert not unmarked, unmarked
+    assert callers("_Minimal") == {"borel._dominating_vectors", "monomials._minimal_vectors"}
     assert callers("_checked_vector") == {"monomials.__post_init__", "monomials._ideal_vectors"}
     assert "_checked_vector" in inspect.getsource(Monomial.__post_init__)
 
