@@ -14,7 +14,8 @@ only for the modules it runs.
 
 import importlib
 
-# module -> the names the package exports from it
+# module -> the names the package exports from it: the package's one
+# export list, as the modules keep no ``__all__``
 _EXPORTS = {
     "assprimes": """AssProfile CrossValidationReport PersistenceReport ass_profile
         associated_primes cross_validate irreducible_decomposition m_in_ass persistence_scan""",

@@ -517,19 +517,3 @@ def cross_validate(
             sharp = in_ass.index(True) + 1 == lam
             sharpness += _compare([sharp], [True], "sharpness", u, A, lam)
     return CrossValidationReport(u, kmax, depth, localization, membership, sharpness)
-
-
-__all__ = [
-    "AssProfile",
-    "CELL_CEILING",
-    "CrossValidationError",
-    "CrossValidationReport",
-    "PersistenceReport",
-    "ResourceLimitError",
-    "ass_profile",
-    "associated_primes",
-    "cross_validate",
-    "irreducible_decomposition",
-    "m_in_ass",
-    "persistence_scan",
-]

@@ -57,6 +57,7 @@ from .monomials import (
     ResourceLimitError,
     SquarefreeMonomial,
     _Minimal,
+    _same_ground,
 )
 
 
@@ -128,8 +129,7 @@ def is_power_generator(w: Monomial, u: SquarefreeMonomial, k: int) -> bool:
     """Whether ``w`` (degree ``k*deg u``, exponents at most ``k``) generates
     the k-th power: the bound :func:`power_generators` walks by, every
     prefix sum of ``w`` at least the matching prefix sum of ``u^k``."""
-    if w.ground != u.ground:
-        raise ValueError("mismatched ground sets")
+    _same_ground(u.ground, w.ground, "mismatched ground sets")
     if w.degree != k * u.degree:
         raise ValueError(f"degree {w.degree} != {k}*{u.degree}")
     if _over_cap(w.vector, k):
@@ -165,13 +165,3 @@ def extract_borel_generator(J: MonomialIdeal, cap: int) -> Monomial:
     if borel_closure(candidate, cap) != J:
         raise NotPrincipalError(f"closure of {candidate} does not generate the ideal")
     return candidate
-
-
-__all__ = [
-    "NotPrincipalError",
-    "borel_closure",
-    "expand_squarefree",
-    "extract_borel_generator",
-    "is_power_generator",
-    "power_generators",
-]

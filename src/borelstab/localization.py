@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .monomials import GroundSet, MonomialIdeal, SquarefreeMonomial, _minimal_vectors, _value
-from .monomials import _check_labels
+from .monomials import _check_labels, _same_ground
 
 
 @_value
@@ -79,8 +79,7 @@ def localize_closed_form(u: SquarefreeMonomial, A: VariableSubset) -> Squarefree
     step lowers the degree by one.  Once a step does not fire no later one
     does: later members of ``A`` are larger and the maximum only falls.
     """
-    if A.ambient != u.ground:
-        raise ValueError("subset over a different ground set")
+    _same_ground(u.ground, A.ambient, "subset over a different ground set")
     current = list(u.indices)
     for k in A.members:
         if not current or k > current[-1]:
@@ -99,8 +98,7 @@ def localize_by_saturation(J: MonomialIdeal, A: VariableSubset) -> MonomialIdeal
     projections can divide one another, so one minimality pass drops
     the redundant ones.  An empty ``A`` gives an ideal equal to ``J``.
     """
-    if A.ambient != J.ground:
-        raise ValueError("subset over a different ground set")
+    _same_ground(J.ground, A.ambient, "subset over a different ground set")
     kept = A.complement
     if not kept:
         raise ValueError("localizing at every variable leaves no ambient ring")
@@ -121,12 +119,3 @@ def localized_expansion(u: SquarefreeMonomial, A: VariableSubset) -> MonomialIde
 
     local = localize_closed_form(u, A)
     return None if local is None else expand_squarefree(local)
-
-
-__all__ = [
-    "VariableSubset",
-    "localize_by_saturation",
-    "localize_closed_form",
-    "localized_expansion",
-    "parse_subset",
-]

@@ -110,9 +110,12 @@ def _check_labels(labels) -> None:
             raise ValueError(f"variable label {i!r} is not an int")
 
 
-def _check_same_ground(a, b) -> None:
-    if a.ground != b.ground:
-        raise GroundSetMismatch(f"ground sets differ: {a.ground} vs {b.ground}")
+def _same_ground(ground, other, message: str) -> None:
+    """Refuse to mix values over two ground sets: the package's one check,
+    which raises :class:`GroundSetMismatch` with ``message``, formatted
+    with the two ground sets."""
+    if ground != other:
+        raise GroundSetMismatch(message.format(ground, other))
 
 
 @_value
@@ -321,7 +324,7 @@ class MonomialIdeal:
         return len(self.vectors) == 1 and not any(self.vectors[0])
 
     def __contains__(self, w: Monomial) -> bool:
-        _check_same_ground(self, w)
+        _same_ground(self.ground, w.ground, "ground sets differ: {} vs {}")
         return any(all(map(le, g, w.vector)) for g in self.vectors)
 
     def __len__(self) -> int:
@@ -358,9 +361,8 @@ def _ideal_vectors(ground: GroundSet, gens) -> tuple[tuple[int, ...], ...]:
     for g in gens:
         if type(g) is not Monomial:
             vecs.append(_checked_vector(ground, g))
-        elif g.ground != ground:
-            raise GroundSetMismatch("generator over a different ground set")
         else:
+            _same_ground(ground, g.ground, "generator over a different ground set")
             vecs.append(g.vector)
     kept = _minimal_vectors(vecs)
     redundant = len(vecs) - len(kept)
@@ -404,15 +406,14 @@ def minimalize(gens, ground: GroundSet | None = None) -> MonomialIdeal:
         if not gens:
             raise ValueError("empty generating set needs an explicit ground set")
         ground = gens[0].ground
-    if any(g.ground != ground for g in gens):
-        raise GroundSetMismatch("generators over different ground sets")
+    for g in gens:
+        _same_ground(ground, g.ground, "generators over different ground sets")
     return MonomialIdeal(ground, _minimal_vectors([g.vector for g in gens]))
 
 
 def colon(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     """The colon ideal J : (w), computed generatorwise as g / gcd(g, w)."""
-    if w.ground != J.ground:
-        raise GroundSetMismatch("colon divisor over a different ground set")
+    _same_ground(J.ground, w.ground, "colon divisor over a different ground set")
     cut = [tuple(max(x - e, 0) for x, e in zip(g, w.vector)) for g in J.vectors]
     return MonomialIdeal(J.ground, _minimal_vectors(cut))
 
@@ -424,8 +425,7 @@ def saturate(J: MonomialIdeal, w: Monomial) -> MonomialIdeal:
     support of ``w`` set to zero; those images can differ in degree, so
     they are minimalized once.
     """
-    if w.ground != J.ground:
-        raise GroundSetMismatch("saturating monomial over a different ground set")
+    _same_ground(J.ground, w.ground, "saturating monomial over a different ground set")
     cut = [tuple(0 if e else x for x, e in zip(g, w.vector)) for g in J.vectors]
     return MonomialIdeal(J.ground, _minimal_vectors(cut))
 

@@ -111,10 +111,3 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     if len(_colon_sets(ground.indices, [witness.vector], k)[0]) != n - 1:
         raise AssertionError("witness colon set is not of size n - 1")
     return witness
-
-
-__all__ = [
-    "QuotientProfile",
-    "depth_zero_witness",
-    "quotient_profile",
-]

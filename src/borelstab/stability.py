@@ -42,7 +42,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .localization import VariableSubset, localize_closed_form
-from .monomials import GroundSet, SquarefreeMonomial, _value
+from .monomials import GroundSet, SquarefreeMonomial, _same_ground, _value
 
 INFINITE = math.inf
 
@@ -171,6 +171,7 @@ def stable_membership_combinatorial(u: SquarefreeMonomial, A: VariableSubset) ->
     the ``s``-th element of ``A``, is the 1-based position of the first
     support index at least that element.
     """
+    _same_ground(u.ground, A.ambient, "subset over a different ground set")
     if _localizes_to_unit(u, A):
         return False
     if len(A.complement) == 1:
@@ -256,18 +257,3 @@ def stable_set_enumerate(
             if entry.member or not members_only:
                 entries.append(entry)
     return entries
-
-
-__all__ = [
-    "DEFAULT_ENUMERATION_BOUND",
-    "INFINITE",
-    "IntervalDecomposition",
-    "StableSetEntry",
-    "ever_associated",
-    "interval_decomposition",
-    "lambda_max_ideal",
-    "lambda_of_prime",
-    "lambda_value_witness",
-    "stable_membership_combinatorial",
-    "stable_set_enumerate",
-]

@@ -17,14 +17,19 @@ from borelstab import (
     ass_profile,
     colon,
     cross_validate,
+    VariableSubset,
     expand_squarefree,
     ideal_power,
+    is_power_generator,
+    localize_by_saturation,
+    localize_closed_form,
     minimalize,
     parse_monomial,
     parse_squarefree,
     persistence_scan,
     power_generators,
     saturate,
+    stable_membership_combinatorial,
 )
 from borelstab.cli import run
 from borelstab.monomials import vector_to_str
@@ -160,6 +165,55 @@ class TestDivides:
     def test_ground_mismatch(self, g3, g4):
         with pytest.raises(GroundSetMismatch):
             mono(g4, x1=1) in ideal(mono(g3, x1=1))  # noqa: B015
+
+
+# every call given two grounded values, with u over n = 3 and the other
+# value over n = 4, and the message it refuses the pair with
+GROUND_CLASHES = {
+    "colon": (
+        lambda u, g4: colon(expand_squarefree(u), mono(g4, x1=1)),
+        "colon divisor over a different ground set",
+    ),
+    "saturate": (
+        lambda u, g4: saturate(expand_squarefree(u), mono(g4, x1=1)),
+        "saturating monomial over a different ground set",
+    ),
+    "minimalize": (
+        lambda u, g4: minimalize([u.power(1), mono(g4, x2=1)]),
+        "generators over different ground sets",
+    ),
+    "MonomialIdeal": (
+        lambda u, g4: MonomialIdeal(u.ground, [mono(g4, x2=1)]),
+        "generator over a different ground set",
+    ),
+    "in": (
+        lambda u, g4: mono(g4, x2=1) in expand_squarefree(u),
+        "ground sets differ: n=3 vs n=4",
+    ),
+    "localize_closed_form": (
+        lambda u, g4: localize_closed_form(u, VariableSubset(g4, (1,))),
+        "subset over a different ground set",
+    ),
+    "localize_by_saturation": (
+        lambda u, g4: localize_by_saturation(expand_squarefree(u), VariableSubset(g4, (1,))),
+        "subset over a different ground set",
+    ),
+    "is_power_generator": (
+        lambda u, g4: is_power_generator(mono(g4, x1=1, x2=1), u, 1),
+        "mismatched ground sets",
+    ),
+    "stable_membership_combinatorial": (
+        lambda u, g4: stable_membership_combinatorial(u, VariableSubset(g4, (1,))),
+        "subset over a different ground set",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUND_CLASHES))
+def test_two_ground_sets_are_refused(name, g3, g4):
+    call, message = GROUND_CLASHES[name]
+    with pytest.raises(GroundSetMismatch, match=exactly(message)):
+        call(sf(g3, 2, 3), g4)
 
 
 class TestMinimalize:

@@ -82,6 +82,20 @@ def test_package_ideals_enter_as_minimal():
     assert "_checked_vector" in inspect.getsource(Monomial.__post_init__)
 
 
+def test_one_ground_set_check():
+    # every call given two grounded values refuses to mix them through one
+    # helper, the only place GroundSetMismatch is raised
+    raised = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise) and "GroundSetMismatch" in ast.unparse(node):
+                    raised.add(f"{path.stem}.{function.name}")
+    assert raised == {"monomials._same_ground"}
+
+
 def test_one_product_route():
     # _powers is the one route from J to its powers: the two oracle scans
     # read its vector lists, and ideal_power wraps the last one
