@@ -16,24 +16,38 @@ the first position where they differ and ``j`` the first after ``i`` with
 to ``i`` is a capped exchange whose result ``v`` still dominates, with a
 smaller total prefix gap.  Induction on that gap reaches ``v``.
 
-The walk builds that set from the last position back, as a table of
-suffix lists keyed by ``(position i, prefix sum s before it)``.  With
-``W_i`` the prefix sum of ``w`` through position ``i`` and ``D = deg w``,
-the entry ``e`` at ``i`` runs from ``min(c, D - s)`` down to
-``max(0, W_i - s)``, and the row of ``(i, s)`` is ``(e,) + t`` for each
-such ``e`` and each suffix ``t`` in the row of ``(i + 1, s + e)``.  Past
-the last nonzero position of ``w`` every prefix sum has reached ``D``, so
-every entry there is zero: the table starts right after that position,
-with the one row of ``D``, the zero suffix, and the trailing zeros cost
-no step of the walk.  The
-table holds the sums ``s`` in ``[W_(i-1), min(D, c * i)]``, exactly those
-a valid prefix of length ``i`` can reach (fill it up to ``c`` per entry
-until the sum is ``s``).  No such row is empty: filling each later
-position up to ``min(c, D - s)`` keeps every prefix sum at least
-``min(s + c, D)``, which meets the next bound because the entries of
-``w`` are at most ``c``, and it ends at ``D``.  So every suffix built is
-used, each row is in decreasing lex order, and a suffix is built once
-for all the prefixes that reach its state.
+The walk builds that set in two halves that meet at ``mid = end // 2``,
+with ``end`` one past the last nonzero position of ``w``.  The back half
+is a table of suffix lists keyed by ``(position i, prefix sum s before
+it)``.  With ``W_i`` the prefix sum of ``w`` through position ``i`` and
+``D = deg w``, the entry ``e`` at ``i`` runs from ``min(c, D - s)`` down
+to ``max(0, W_i - s)``, and the row of ``(i, s)`` is ``(e,) + t`` for
+each such ``e`` and each suffix ``t`` in the row of ``(i + 1, s + e)``.
+Past the last nonzero position of ``w`` every prefix sum has reached
+``D``, so every entry there is zero: the table starts at ``end``, with
+the one row of ``D``, the zero suffix, and the trailing zeros cost no
+step of the walk.  It is built back to ``mid`` only.  At ``i`` it holds
+the sums ``s`` in ``[W_(i-1), min(D, c * i)]``, exactly those a valid
+prefix of length ``i`` can reach (fill it up to ``c`` per entry until the
+sum is ``s``).  No such row is empty: filling each later position up to
+``min(c, D - s)`` keeps every prefix sum at least ``min(s + c, D)``,
+which meets the next bound because the entries of ``w`` are at most
+``c``, and it ends at ``D``.  Each row is in decreasing lex order, and a
+suffix is built once for all the prefixes that reach its state.
+
+The front half lists the prefixes of positions ``0 .. mid - 1`` forward
+by the same bounds, each with its sum.  None dies on the way: with
+``W_(i-1) <= s <= D``, the range ``[max(0, W_i - s), min(c, D - s)]`` is
+nonempty because ``w_i <= c`` and ``W_i <= D``, and the new sum lies in
+``[W_i, D]``.  So a prefix ends at a sum in
+``[W_(mid-1), min(D, c * mid)]``, exactly the rows the table holds at
+``mid``: every prefix finds a nonempty row, and every suffix built is
+used.  The walk returns ``p + t`` for each prefix ``p`` in turn and each
+``t`` in its row; the prefixes are in decreasing lex order and so is each
+row, so the join is too.  The split is a fixed rule, the fastest timed on
+the 57 walks of a ``powers`` bench pass (2-core x86 VM): 3.6 ms, against
+3.7 for ``(end + 1) // 2``, 4.1 for ``end // 3``, 4.4 for
+``2 * end // 3`` and 6.3 for no split.
 
 The walk reads the vector of ``u^k`` (``SquarefreeMonomial.power_vector``)
 and builds no :class:`~borelstab.monomials.Monomial`.  Its referees live
@@ -76,8 +90,9 @@ _SUM_CEILING = 10**7
 
 def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
     """The cap closure of ``w``, whose entries must not exceed ``cap``, in
-    decreasing lex order, from the suffix table of the module docstring:
-    each vector once and all of one degree, so a minimal list.
+    decreasing lex order, from the two halves of the module docstring
+    joined once at ``mid``, neither of which builds a level as large as
+    the output: each vector once and all of one degree, so a minimal list.
 
     Before the table is built, the largest number of prefix sums it holds
     at one position is counted.  Every row is reachable and non-empty, so
@@ -93,8 +108,9 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
             f"the Borel walk needs {widest} prefix sums at one position, so at least "
             f"{widest} generators, above the ceiling of {_SUM_CEILING}"
         )
+    mid = end // 2
     tails = {degree: [(0,) * (len(w) - end)]}
-    for i in range(end - 1, -1, -1):
+    for i in range(end - 1, mid - 1, -1):
         floor = bounds[i - 1] if i else 0
         tails = {
             s: [
@@ -104,7 +120,14 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
             ]
             for s in range(floor, min(degree, cap * i) + 1)
         }
-    return _Minimal(tails[0])
+    heads = [((), 0)]
+    for i in range(mid):
+        heads = [
+            (p + (e,), s + e)
+            for p, s in heads
+            for e in range(min(cap, degree - s), max(0, bounds[i] - s) - 1, -1)
+        ]
+    return _Minimal([p + t for p, s in heads for t in tails[s]])
 
 
 def borel_closure(w: Monomial, cap: int) -> MonomialIdeal:

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -83,14 +84,15 @@ class TestBorelClosure:
                 borel_closure(w, cap)
 
     def test_walk_equals_moves_exhaustive(self):
-        # every w with 1 <= deg <= 8 and entries at most the cap: 1,470
-        # closures, about 0.5 s with the breadth-first referee
+        # every w with 0 <= deg <= 8 and entries at most the cap: 1,488
+        # closures, about 0.5 s with the breadth-first referee; the unit
+        # w = 0 joins the walk's halves at mid = 0
         grounds = [GroundSet.contiguous(n) for n in range(1, 6)] + [GroundSet((2, 5, 7))]
         count = 0
         for g in grounds:
             for cap in (1, 2, 3):
                 for vec in itertools.product(range(cap + 1), repeat=len(g)):
-                    if 1 <= sum(vec) <= 8:
+                    if 0 <= sum(vec) <= 8:
                         w = Monomial(g, vec)
                         expected = closure_by_moves(w, cap)
                         assert borel_closure(w, cap) == expected, (g, vec, cap)
@@ -99,7 +101,7 @@ class TestBorelClosure:
                         assert all(a > b for a, b in itertools.pairwise(walked)), (vec, cap)
                         assert walked == list(expected.vectors), (g, vec, cap)
                         count += 1
-        assert count == 1470
+        assert count == 1488
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(st.data())
@@ -196,6 +198,24 @@ class TestPowerGenerators:
             assert _minimal_vectors(walked) == walked, (n, u, k)
             count += len(walked)
         assert count == 258315
+
+    def test_walk_peak_is_near_its_output(self):
+        # the walk joins prefixes to suffixes at its middle position, so it
+        # builds no intermediate level as large as its output: the heads and
+        # the suffix rows each hold fewer tuples than the generators, and
+        # shorter ones, so the traced peak stays near the returned list's
+        # size (about 1.06 times it)
+        vec = sf(GroundSet.contiguous(10), 2, 4, 6, 8, 10).power_vector(4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            walked = _dominating_vectors(vec, 4)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(walked) == 256624
+        assert all(a > b for a, b in itertools.pairwise(walked))
+        assert peak - base < 1.3 * (size - base)
 
     def test_wide_product_route(self):
         # one degree: the walk pays for no minimality pass, and the product
