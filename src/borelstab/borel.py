@@ -50,7 +50,10 @@ the 57 walks of a ``powers`` bench pass (2-core x86 VM): 3.6 ms, against
 ``2 * end // 3`` and 6.3 for no split.
 
 The walk reads the vector of ``u^k`` (``SquarefreeMonomial.power_vector``)
-and builds no :class:`~borelstab.monomials.Monomial`.  Its referees live
+and builds no :class:`~borelstab.monomials.Monomial`.  The colon profile
+of :mod:`borelstab.quotients` walks the same rows, holding a bitmask per
+suffix; both walks start from :func:`_walk_plan`, which holds their
+bounds and their refusals.  Its referees live
 with the tests: the breadth-first closure under every capped exchange,
 and the definitional check of strong stability.
 
@@ -83,22 +86,30 @@ def _over_cap(vec: tuple[int, ...], cap: int) -> bool:
     return any(e > cap for e in vec if e)
 
 
-# the most prefix sums the walk's table may hold at one position; the same
-# value as the oracle's default box-cell ceiling
+# the most prefix sums the walk's table may hold at one position, and the
+# most vectors the walk may build; the same value as the oracle's default
+# box-cell ceiling
 _SUM_CEILING = 10**7
 
 
-def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
-    """The cap closure of ``w``, whose entries must not exceed ``cap``, in
-    decreasing lex order, from the two halves of the module docstring
-    joined once at ``mid``, neither of which builds a level as large as
-    the output: each vector once and all of one degree, so a minimal list.
+def _walk_plan(w: tuple[int, ...], cap: int) -> tuple[list[int], int, int]:
+    """The prefix sums ``bounds`` of ``w``, its ``degree`` and ``end``, one
+    past its last nonzero position: what a walk over the rows of the
+    module docstring reads, after two refusals.
 
-    Before the table is built, the largest number of prefix sums it holds
-    at one position is counted.  Every row is reachable and non-empty, so
-    that number bounds the generator count from below, and a walk whose
-    table would hold more than ``_SUM_CEILING`` sums is refused with
-    :class:`~borelstab.monomials.ResourceLimitError`."""
+    First the largest number of prefix sums the table holds at one
+    position is counted.  Every row is reachable and non-empty, so that
+    number bounds the generator count from below, and a walk whose table
+    would hold more than ``_SUM_CEILING`` sums is refused with
+    :class:`~borelstab.monomials.ResourceLimitError`.  Then, unless
+    ``(cap + 1) ** (end - 1)`` (every choice of the entries before the
+    last nonzero position) already bounds the walk by ``_SUM_CEILING``,
+    the walk's vectors are counted exactly over the same rows, from
+    ``end`` back to 0.  The count of row ``(i, s)`` is the sum of the
+    counts of rows ``(i + 1, s')`` for ``s'`` from ``max(s, W_i)`` to
+    ``min(s + cap, D)``, one difference of running sums, and the count of
+    row ``(0, 0)`` is the output's length.  A walk of more than
+    ``_SUM_CEILING`` vectors is refused the same way."""
     bounds = list(accumulate(w))
     degree = bounds[-1]
     end = bisect_left(bounds, degree) + 1
@@ -108,6 +119,32 @@ def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
             f"the Borel walk needs {widest} prefix sums at one position, so at least "
             f"{widest} generators, above the ceiling of {_SUM_CEILING}"
         )
+    if (cap + 1) ** (end - 1) > _SUM_CEILING:
+        counts, low = [1], degree  # the rows at ``end``, from the sum ``low`` up
+        for i in range(end - 1, -1, -1):
+            acc = [0, *accumulate(counts)]
+            floor = bounds[i - 1] if i else 0
+            counts = [
+                acc[(s + cap if s + cap < degree else degree) - low + 1]
+                - acc[s - low if s > low else 0]
+                for s in range(floor, min(degree, cap * i) + 1)
+            ]
+            low = floor
+        if counts[0] > _SUM_CEILING:
+            raise ResourceLimitError(
+                f"the Borel walk would build {counts[0]} generators, above the ceiling "
+                f"of {_SUM_CEILING}"
+            )
+    return bounds, degree, end
+
+
+def _dominating_vectors(w: tuple[int, ...], cap: int) -> _Minimal:
+    """The cap closure of ``w``, whose entries must not exceed ``cap``, in
+    decreasing lex order, from the two halves of the module docstring
+    joined once at ``mid``, neither of which builds a level as large as
+    the output: each vector once and all of one degree, so a minimal list.
+    :func:`_walk_plan` refuses a walk too large to build."""
+    bounds, degree, end = _walk_plan(w, cap)
     mid = end // 2
     tails = {degree: [(0,) * (len(w) - end)]}
     for i in range(end - 1, mid - 1, -1):

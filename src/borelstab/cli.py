@@ -133,11 +133,13 @@ def _cmd_localize(args, u):
 
 
 def _cmd_colon_profile(args, u):
-    from . import quotients
+    from .borel import power_generators
+    from .quotients import quotient_profile
 
-    J, profile = quotients._power_profile(u, args.k)
+    profile = quotient_profile(u, args.k)
     if args.format == "json":
         return jsonio.quotient_profile_to_obj(u, profile), 0
+    J = power_generators(u, args.k)  # the table prints each generator
     labels = J.ground.indices
     lines = [
         f"i={pos:<3} u_i={vector_to_str(labels, g):<24} colon={_set_str(sorted(s))}"

@@ -14,11 +14,34 @@ so the entry points here construct the generator list themselves from a
 squarefree generator.  ``q``, the depth and the depth-zero flag are
 read off one :func:`quotient_profile`.
 
-One function, :func:`_colon_sets`, computes the colon sets, for
-:func:`quotient_profile` and :func:`depth_zero_witness` alike.  Within one
-profile the generators with equal colon sets share one frozenset, built
-once from a byte key per generator: the 729 generators of
-``(x2x5x7x8)^2`` over n = 8 have 94 distinct colon sets.
+:func:`_colon_masks` reads the colon sets off the Borel walk of
+:mod:`borelstab.borel` without building a generator.  It walks the same
+``(position i, prefix sum s)`` rows, in the same order, joined at the same
+``mid``, but a row holds the colon bitmask of each suffix (bit ``j`` for
+position ``j``) where the walk holds the suffix.  With ``top`` the last
+nonzero position of a vector, its colon set is the positions below
+``top`` whose entry is not the cap ``k``.  The masks follow from the rows:
+
+- A suffix ``(e,) + t`` whose tail ``t`` is not zero puts the top of every
+  vector that ends with it inside ``t``.  So position ``i`` lies below the
+  top, and the mask is ``t``'s plus bit ``i`` when ``e != cap``.
+- When ``t`` is the zero suffix, the top is ``i`` or lies before it, and no
+  position of the suffix is below it: the mask is 0.  The entries after a
+  prefix sum of ``D``, the degree, are all zero, and a row of a smaller sum
+  must still add up to ``D``.  So the zero suffix is the one row at
+  ``s = D``, and ``t`` is zero exactly when ``s + e = D``.
+- A head of sum ``s < D`` meets only nonzero tails, so each of its
+  positions is below the top and counts when its entry is not the cap:
+  its full mask.  A head of sum ``D`` meets only the zero suffix, and its
+  top is its own last nonzero entry: it takes its mask below that top.
+  An entry ``e`` at ``i`` adds bit ``i`` to the full mask when
+  ``e != cap``, and when ``e > 0`` it moves the top to ``i``, so the mask
+  below the top becomes the full mask before ``i``.
+
+The walk lists the generators in decreasing lex order (the proof is in
+:mod:`borelstab.borel`), so the i-th mask is the colon set of ``u_i``.
+Each distinct mask becomes one frozenset, which the generators with that
+colon set share, and ``q`` is the largest.
 
 :func:`depth_zero_witness` has no caller in the package.  It stays as the
 explicit depth-zero generator of the construction, which the benchmark
@@ -27,29 +50,38 @@ times and the tests check.
 
 from __future__ import annotations
 
-from itertools import compress
-
-from .borel import is_power_generator, power_generators
-from .monomials import Monomial, MonomialIdeal, SquarefreeMonomial, _value
+from .borel import _walk_plan, is_power_generator
+from .monomials import Monomial, SquarefreeMonomial, _value
 
 
-def _colon_sets(labels, vectors, cap: int) -> list[frozenset[int]]:
-    """The colon set of each vector: the labels before the last one in its
-    support whose exponent is not ``cap``.
-
-    The sets are built per distinct key, not per vector, so vectors with
-    equal colon sets share one frozenset.  A vector's key has the byte 1
-    at each position below its top that is not at the cap and 0 elsewhere,
-    with trailing zero bytes stripped: equal sets have equal keys.
-    """
-    if cap > 255:  # bytes() holds 0..255: keep only zero, at the cap, or neither
-        vectors = [tuple(2 if e == cap else min(e, 1) for e in v) for v in vectors]
-        cap = 2
-    below_cap = bytearray(b"\1" * 256)
-    below_cap[cap] = 0
-    keys = [bytes(v).rstrip(b"\0")[:-1].translate(below_cap).rstrip(b"\0") for v in vectors]
-    shared = {key: frozenset(compress(labels, key)) for key in set(keys)}
-    return list(map(shared.__getitem__, keys))
+def _colon_masks(w: tuple[int, ...], cap: int) -> list[int]:
+    """The colon bitmask of each vector of the cap closure of ``w``, in the
+    walk's order, by the rules of the module docstring."""
+    bounds, degree, end = _walk_plan(w, cap)
+    mid = end // 2
+    tails = {degree: [0]}
+    for i in range(end - 1, mid - 1, -1):
+        bit = 1 << i
+        # the row of each sum with bit i added, but the zero suffix's: it stays 0
+        ored = {s: [m | bit for m in t] if s < degree else t for s, t in tails.items()}
+        floor = bounds[i - 1] if i else 0
+        tails = {
+            s: [
+                m
+                for e in range(min(cap, degree - s), max(0, bounds[i] - s) - 1, -1)
+                for m in (tails if e == cap else ored)[s + e]
+            ]
+            for s in range(floor, min(degree, cap * i) + 1)
+        }
+    heads = [(0, 0, 0)]  # full mask, mask below the top, prefix sum
+    for i in range(mid):
+        bit = 1 << i
+        heads = [
+            (full if e == cap else full | bit, full if e else below, s + e)
+            for full, below, s in heads
+            for e in range(min(cap, degree - s), max(0, bounds[i] - s) - 1, -1)
+        ]
+    return [below if s == degree else full | m for full, below, s in heads for m in tails[s]]
 
 
 @_value
@@ -63,21 +95,19 @@ class QuotientProfile:
     m_in_ass: bool
 
 
-def _power_profile(u: SquarefreeMonomial, k: int) -> tuple[MonomialIdeal, QuotientProfile]:
-    """The k-th power, built once, and its profile."""
-    ground = u.ground
-    n = len(ground)
-    J = power_generators(u, k)
-    sets = _colon_sets(ground.indices, J.vectors, k)
-    q = max(map(len, sets))
-    if q >= n:
-        raise AssertionError("colon sets live below max(u_i), so q must stay below n")
-    return J, QuotientProfile(k, tuple(sets), q, n - q - 1, q == n - 1)
-
-
 def quotient_profile(u: SquarefreeMonomial, k: int) -> QuotientProfile:
     """Full linear-quotient profile of the k-th power of the expansion of ``u``."""
-    return _power_profile(u, k)[1]
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    ground = u.ground
+    n = len(ground)
+    masks = _colon_masks(u.power_vector(k), k)
+    labels = ground.indices
+    shared = {m: frozenset(j for b, j in enumerate(labels) if m >> b & 1) for m in set(masks)}
+    q = max(map(len, shared.values()))
+    if q >= n:
+        raise AssertionError("colon sets live below max(u_i), so q must stay below n")
+    return QuotientProfile(k, tuple(map(shared.__getitem__, masks)), q, n - q - 1, q == n - 1)
 
 
 def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
@@ -108,6 +138,7 @@ def depth_zero_witness(u: SquarefreeMonomial, k: int) -> Monomial:
     witness = Monomial(ground, vec)
     if not is_power_generator(witness, u, k):
         raise AssertionError("witness fails the membership test")
-    if len(_colon_sets(ground.indices, [witness.vector], k)[0]) != n - 1:
+    top = max(j for j, e in enumerate(vec) if e)
+    if sum(e != k for e in vec[:top]) != n - 1:
         raise AssertionError("witness colon set is not of size n - 1")
     return witness

@@ -27,7 +27,6 @@ from borelstab import (
     localize_closed_form,
     minimalize,
 )
-from borelstab.quotients import _colon_sets
 
 
 def sf(ground: GroundSet, *indices: int) -> SquarefreeMonomial:
@@ -77,7 +76,35 @@ def linear_quotient_set(gens, i: int, cap: int) -> frozenset[int]:
         raise ValueError("generators not sorted in strictly decreasing lex order")
     if i == 1:
         return frozenset()
-    return _colon_sets(gens[i - 1].ground.indices, [gens[i - 1].vector], cap)[0]
+    return _colon_variables_by_max(gens[i - 1].ground.indices, gens[i - 1].vector, cap)
+
+
+def _colon_variables_by_max(labels, vec, cap) -> frozenset[int]:
+    """The colon-variable formula as first written: every label below the
+    largest one in the support whose exponent is not the cap.  The referee
+    of the colon masks that ``quotient_profile`` reads off the Borel walk."""
+    top = max(j for j, e in zip(labels, vec) if e)
+    return frozenset(j for j, e in zip(labels, vec) if j < top and e != cap)
+
+
+def integer_rank(rows) -> int:
+    """The rank of an integer matrix by fraction-free Gaussian elimination
+    (Bareiss): every entry stays an integer, and each step divides exactly
+    by the previous pivot."""
+    rows = [list(r) for r in rows]
+    rank, pivot = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        nonzero = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if nonzero is None:
+            continue
+        rows[rank], rows[nonzero] = rows[nonzero], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            rows[r] = [(top[col] * a - row[col] * b) // pivot for a, b in zip(row, top)]
+        pivot = top[col]
+        rank += 1
+    return rank
 
 
 def max_preserved(u: SquarefreeMonomial, A: VariableSubset) -> bool:

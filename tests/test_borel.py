@@ -253,11 +253,34 @@ class TestPowerGenerators:
         assert "10000000" in str(caught.value)
         assert f"{10**23} prefix sums" in str(caught.value)
 
-    def test_sum_ceiling_is_inclusive(self, g3, monkeypatch):
+    def test_sum_ceiling_is_inclusive(self, monkeypatch):
+        # (x2)^k over n = 2 holds k + 1 prefix sums at position 2 and has
+        # k + 1 generators, so only the prefix-sum refusal can reach it
+        g2 = GroundSet.contiguous(2)
         monkeypatch.setattr(borel, "_SUM_CEILING", 301)
-        assert len(power_generators(sf(g3, 2, 3), 300)) == 45451  # 301 sums
+        assert len(power_generators(sf(g2, 2), 300)) == 301  # 301 sums
         with pytest.raises(ResourceLimitError, match="302 prefix sums"):
-            power_generators(sf(g3, 2, 3), 301)
+            power_generators(sf(g2, 2), 301)
+
+    def test_count_ceiling_is_inclusive(self, monkeypatch):
+        # the exact count admits a walk of as many vectors as the ceiling
+        # and refuses one more, naming the count, on every u with n <= 5
+        # and k <= 4 whose prefix sums do not refuse it first
+        refused = 0
+        for n in range(1, 6):
+            for u in all_squarefree(n):
+                for k in range(1, 5):
+                    count = len(power_generators(u, k))
+                    monkeypatch.setattr(borel, "_SUM_CEILING", count)
+                    assert len(power_generators(u, k)) == count, (u, k)
+                    monkeypatch.setattr(borel, "_SUM_CEILING", count - 1)
+                    with pytest.raises(ResourceLimitError) as caught:
+                        power_generators(u, k)
+                    if "prefix sums" not in str(caught.value):
+                        assert f"would build {count} generators" in str(caught.value)
+                        refused += 1
+                    monkeypatch.undo()
+        assert refused == 128, refused
 
     def test_rejects_zero_power(self, g3):
         with pytest.raises(ValueError):

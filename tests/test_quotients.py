@@ -1,13 +1,18 @@
 """The colon-variable formula against brute-force colons, q, depth and the
 depth-zero witness."""
 
+import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from borelstab import (
+    INFINITE,
     GroundSet,
     Monomial,
+    ResourceLimitError,
     colon,
     depth_zero_witness,
     expand_squarefree,
@@ -16,11 +21,15 @@ from borelstab import (
     minimalize,
     power_generators,
     quotient_profile,
+    stable_set_enumerate,
 )
-from borelstab.quotients import _colon_sets
+from borelstab.borel import _dominating_vectors
+from borelstab.quotients import _colon_masks
 from conftest import (
+    _colon_variables_by_max,
     all_squarefree,
     closure_by_moves,
+    integer_rank,
     linear_quotient_set,
     mono,
     power_by_all_products,
@@ -192,17 +201,11 @@ def test_colon_formula_vs_brute_force_small():
                     assert {m.support[0] for m in brute.generators} == set(fast)
 
 
-def _colon_variables_by_max(labels, vec, cap):
-    """The colon-variable formula as first written: every label below the
-    largest one in the support whose exponent is not the cap."""
-    top = max(j for j, e in zip(labels, vec) if e)
-    return frozenset(j for j, e in zip(labels, vec) if j < top and e != cap)
-
-
 def test_colon_variables_equal_max_formula():
-    """The production path, ``quotient_profile``, and the one colon-set
-    function both give the first-written formula, generator by generator,
-    and equal colon sets within one profile are one shared object."""
+    """The production path, ``quotient_profile``, gives the first-written
+    formula, generator by generator, and equal colon sets within one
+    profile are one shared object.  The formula gives each depth-zero
+    witness the n - 1 colon variables that the witness counts itself."""
     checked = witnesses = 0
     for n in range(1, 8):
         for u in all_squarefree(n):
@@ -212,24 +215,94 @@ def test_colon_variables_equal_max_formula():
                 expected = [_colon_variables_by_max(labels, vec, k) for vec in vecs]
                 sets = quotient_profile(u, k).colon_sets
                 assert list(sets) == expected, (u, k)
-                assert _colon_sets(labels, vecs, k) == expected, (u, k)
                 assert len(set(map(id, sets))) == len(set(sets)), (u, k)
                 checked += len(vecs)
             if u.min_index <= 1 or u.max_index != n:
                 continue
             for k in range(u.degree, 6):
                 vec = depth_zero_witness(u, k).vector
-                expected = [_colon_variables_by_max(labels, vec, k)]
-                assert _colon_sets(labels, [vec], k) == expected, (u, k)
+                assert len(_colon_variables_by_max(labels, vec, k)) == n - 1, (u, k)
                 witnesses += 1
     assert checked == 60942 and witnesses == 186, (checked, witnesses)
 
 
 @pytest.mark.parametrize("k", [255, 256, 300])
 def test_colon_sets_with_exponents_past_a_byte(k):
-    """Caps above 255 do not fit a byte; the colon sets must not change."""
+    """Caps far above every exponent but the cap's own: an entry counts
+    exactly when it is not the cap."""
     g = GroundSet((2, 5, 7))
     for u in (sf(g, 5), sf(g, 2, 7)):
         vecs = power_generators(u, k).vectors
         expected = [_colon_variables_by_max(g.indices, vec, k) for vec in vecs]
         assert list(quotient_profile(u, k).colon_sets) == expected, (u, k)
+
+
+def test_colon_masks_on_every_small_walk():
+    """The mask rules hold on the cap closure of any ``w``, not only of a
+    power of ``u``: the walk's masks equal the formula on the walk's own
+    vectors for every ``w`` with n <= 5, 1 <= deg <= 8 and entries at most
+    the cap, with positions for labels."""
+    count = 0
+    for n in range(1, 6):
+        positions = tuple(range(n))
+        for cap in (1, 2, 3):
+            for vec in itertools.product(range(cap + 1), repeat=n):
+                if not 1 <= sum(vec) <= 8:
+                    continue
+                expected = [
+                    sum(1 << j for j in _colon_variables_by_max(positions, v, cap))
+                    for v in _dominating_vectors(vec, cap)
+                ]
+                assert _colon_masks(vec, cap) == expected, (vec, cap)
+                count += 1
+    assert count == 1375, count
+
+
+def test_depth_past_zero_is_the_limit_depth():
+    """A referee for depth >= 1.  The ideals here are polymatroidal, so
+    their Rees algebras are normal (Herzog and Hibi, 2002) and Cohen-
+    Macaulay (Hochster), and so is the associated graded ring.  Then the
+    limit depth of ``S/I^k`` is ``n - l(I)`` (Eisenbud and Huneke, 1983),
+    and for an ideal generated in one degree the analytic spread ``l(I)``
+    is the rank of the generator exponent matrix.  Past the largest finite
+    stability index ``a`` of the stable set the depth has reached it."""
+    checks = 0
+    for n in range(1, 9):
+        for u in all_squarefree(n):
+            indices = [e.stability_index for e in stable_set_enumerate(u)]
+            a = max((i for i in indices if i != INFINITE), default=1)
+            limit = n - integer_rank(expand_squarefree(u).vectors)
+            for k in (a + 1, a + 2):
+                assert quotient_profile(u, k).depth == limit, (u, k)
+                checks += 1
+    assert checks == 1004, checks
+
+
+def test_wide_power_refused_on_its_count(g3):
+    # (x2x3)^4471 over n = 3 holds only 4,472 prefix sums at one position
+    # but has 10,001,628 generators: the exact count refuses it, for the
+    # walk and the profile alike, before either builds a row
+    message = "would build 10001628 generators, above the ceiling of 10000000"
+    for build in (power_generators, quotient_profile):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=message):
+            build(sf(g3, 2, 3), 4471)
+        assert time.perf_counter() - start < 1, build
+
+
+def test_profile_peak_is_under_half_the_walks():
+    # the profile walks masks, not vectors: on (x2x4x6x8x10)^4 over n = 10
+    # (256,624 generators) its traced peak is about 0.3 times that of
+    # power_generators, where a profile built on the vectors read 1.4
+    u = sf(GroundSet.contiguous(10), 2, 4, 6, 8, 10)
+    peaks = []
+    for build in (power_generators, quotient_profile):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = build(u, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        del result
+    assert peaks[1] < 0.5 * peaks[0], peaks

@@ -106,6 +106,14 @@ def test_one_product_route():
     }
 
 
+def test_colon_profile_builds_no_vector():
+    # quotient_profile reads colon masks off the rows of the Borel walk and
+    # never walks the vectors; the walk and the mask walk share one plan
+    walks = callers("_dominating_vectors") | callers("power_generators")
+    assert not {f for f in walks if f.startswith("quotients.")}, walks
+    assert callers("_walk_plan") == {"borel._dominating_vectors", "quotients._colon_masks"}
+
+
 def test_one_socle_split():
     # the witnesses and the m-test read the socle primes off one
     # depth-first split, which keeps at most n + 1 parts alive
